@@ -4,14 +4,16 @@ The training objective is penalty(W) + C * sum of per-example negative
 log-softmax losses, where C is the strength hyperparameter (a flag flips the
 convention so strength scales the penalty instead).  An always-on intercept
 per class is appended and excluded from the penalty.  Optimization starts
-from zero weights, uses L-BFGS-B, and stops when the projected gradient
-infinity norm falls below tolerance times the smooth-loss gradient norm at
-zero, so runs are deterministic.
+from zero weights, uses scipy's L-BFGS-B for l2 and OWL-QN (orthant-wise
+L-BFGS, Andrew & Gao 2007) for l1, and stops when the infinity norm of the
+gradient (for l1, the pseudo-gradient) falls below tolerance times the
+smooth-loss gradient norm at zero, so runs are deterministic.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -26,6 +28,13 @@ from .textrep import SparseVector
 log = logging.getLogger(__name__)
 
 PENALTIES = ("l1", "l2")
+
+# OWL-QN settings: L-BFGS correction pairs (L-BFGS-B's default), step
+# halvings before a line search gives up (down to 2**-40 of the first step),
+# and the Armijo sufficient-decrease constant.
+_HISTORY = 10
+_MAX_BACKTRACKS = 40
+_ARMIJO = 1e-4
 
 LabeledVector = tuple[SparseVector, str]
 
@@ -195,50 +204,84 @@ def _solve_l2(
     return w[:, :n_features], w[:, n_features], bool(result.status == 0)
 
 
+def _two_loop(v: np.ndarray, pairs: deque[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
+    """L-BFGS inverse-Hessian approximation times ``v`` from (s, y, 1 / s.y) pairs."""
+    q = v.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= float(s @ y) / float(y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return q
+
+
 def _solve_l1(
     x: scipy.sparse.csr_matrix, y_idx: np.ndarray, k: int, config: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    # Split W = U - V with U, V >= 0; the l1 penalty becomes the smooth linear
-    # term sum(U + V) under bound constraints, solvable by L-BFGS-B.
+    # OWL-QN (Andrew & Gao, ICML 2007): L-BFGS over the smooth loss, steered by
+    # the l1 pseudo-gradient and held to one orthant per line search.  The
+    # variables are the k*F coefficients followed by the k unpenalized
+    # intercepts; coefficients at zero move only where the loss gradient
+    # outweighs the penalty, so they stay exactly zero otherwise.
     n_features = x.shape[1]
     block = k * n_features
+    lam = config.penalty_weight
 
-    def fun(z: np.ndarray) -> tuple[float, np.ndarray]:
-        u, v, intercept = z[:block], z[block : 2 * block], z[2 * block :]
-        coef = (u - v).reshape(k, n_features)
-        loss, g_coef, g_int = _smooth_loss_grad(coef, intercept, x, y_idx, config.loss_weight)
-        value = loss + config.penalty_weight * float(np.sum(u) + np.sum(v))
-        g = g_coef.ravel()
-        grad = np.concatenate([g + config.penalty_weight, -g + config.penalty_weight, g_int])
-        return value, grad
+    def evaluate(z: np.ndarray) -> tuple[float, np.ndarray]:
+        """Objective value and smooth-loss gradient."""
+        coef = z[:block].reshape(k, n_features)
+        loss, g_coef, g_int = _smooth_loss_grad(coef, z[block:], x, y_idx, config.loss_weight)
+        value = loss + lam * float(np.sum(np.abs(z[:block])))
+        return value, np.concatenate([g_coef.ravel(), g_int])
 
-    x0 = np.zeros(2 * block + k)
-    _, g_coef0, g_int0 = _smooth_loss_grad(
-        np.zeros((k, n_features)), np.zeros(k), x, y_idx, config.loss_weight
-    )
-    g0_norm = float(max(np.max(np.abs(g_coef0)), np.max(np.abs(g_int0)), 0.0))
-    if g0_norm == 0.0:
-        return np.zeros((k, n_features)), np.zeros(k), True
-    bounds = [(0.0, None)] * (2 * block) + [(None, None)] * k
-    result = scipy.optimize.minimize(
-        fun,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={
-            "maxiter": config.max_iterations,
-            "maxfun": 10**8,
-            "ftol": 0.0,
-            "gtol": config.tolerance * g0_norm,
-        },
-    )
-    u, v, intercept = (
-        result.x[:block],
-        result.x[block : 2 * block],
-        result.x[2 * block :],
-    )
-    return (u - v).reshape(k, n_features), intercept, bool(result.status == 0)
+    def pseudo_gradient(z: np.ndarray, g: np.ndarray) -> np.ndarray:
+        w, g_w = z[:block], g[:block]
+        pg = g.copy()
+        pg[:block] = np.where(w != 0.0, g_w + lam * np.sign(w), g_w - np.clip(g_w, -lam, lam))
+        return pg
+
+    z = np.zeros(block + k)
+    value, g = evaluate(z)
+    gtol = config.tolerance * float(np.max(np.abs(g)))
+    pg = pseudo_gradient(z, g)
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_HISTORY)
+    for _ in range(config.max_iterations):
+        if float(np.max(np.abs(pg))) <= gtol:
+            break
+        d = _two_loop(-pg, pairs)
+        d[d * pg >= 0.0] = 0.0  # keep only components that agree in sign with -pg
+        # Orthant of this step: the sign of each nonzero coefficient, else the
+        # sign it would take moving along -pg.
+        orthant = np.where(z[:block] != 0.0, np.sign(z[:block]), np.sign(-pg[:block]))
+        step = 1.0 if pairs else 1.0 / float(np.linalg.norm(d))
+        for _ in range(_MAX_BACKTRACKS):
+            z_new = z + step * d
+            w_new = z_new[:block]
+            w_new[np.sign(w_new) != orthant] = 0.0
+            value_new, g_new = evaluate(z_new)
+            if value_new <= value + _ARMIJO * float(pg @ (z_new - z)):
+                break
+            step *= 0.5
+        else:
+            break  # the objective cannot be decreased along d
+        # Coordinates the step left in place (pinned at zero) carry only cross
+        # terms; dropping them makes (s, y) a secant pair of the Hessian block
+        # of the coordinates that moved, and keeps the initial scaling
+        # s.y / y.y from collapsing when most coefficients stay at zero.
+        s = z_new - z
+        y = np.where(s != 0.0, g_new - g, 0.0)
+        sy = float(s @ y)
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+        z, g, value = z_new, g_new, value_new
+        pg = pseudo_gradient(z, g)
+    converged = float(np.max(np.abs(pg))) <= gtol
+    return z[:block].reshape(k, n_features), z[block:], converged
 
 
 def train(

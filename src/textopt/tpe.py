@@ -32,6 +32,12 @@ log = logging.getLogger(__name__)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# Rejection draws per continuous sample.  A component's center lies in bounds
+# and its width is at most the range, so a draw lands in bounds with
+# probability at least Phi(1) - 1/2 (about 0.34) and the cap is never reached
+# in practice; it only keeps the loop bounded.
+MAX_REJECTION_DRAWS = 1000
+
 # Widths of continuous kernels are confined to this fraction band of the range.
 MIN_WIDTH_FRACTION = 1e-3
 
@@ -200,11 +206,17 @@ class ParzenContinuous:
         return float(density) if np.ndim(x) == 0 else density
 
     def sample(self, rng: np.random.Generator) -> float:
+        """One draw from the truncated mixture, by rejection.
+
+        After ``MAX_REJECTION_DRAWS`` out-of-bounds draws the last one is
+        clipped into [lo, hi].
+        """
         i = int(rng.integers(self.centers.size))
-        while True:
+        for _ in range(MAX_REJECTION_DRAWS):
             x = float(rng.normal(self.centers[i], self.widths[i]))
             if self.lo <= x <= self.hi:
                 return x
+        return min(max(x, self.lo), self.hi)
 
 
 def fit_continuous(observations: Sequence[float], domain: Continuous) -> ParzenContinuous:

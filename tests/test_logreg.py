@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from textopt.logreg import (
     Model,
@@ -15,7 +17,12 @@ from textopt.logreg import (
     predict,
     train,
 )
-from textopt.textrep import SparseVector
+from textopt.textrep import (
+    RepresentationConfig,
+    SparseVector,
+    build_vocabulary,
+    vectorize_corpus,
+)
 
 
 def sv(pairs: dict[int, float], dim: int) -> SparseVector:
@@ -189,11 +196,27 @@ class TestTrain:
     def test_bitwise_deterministic(self):
         rng_data = np.random.default_rng(7)
         data, dim, labels = random_instance(rng_data)
-        config = TrainConfig("l2", strength=3.0, tolerance=1e-5)
-        first = train(data, config, dim, labels)
-        second = train(data, config, dim, labels)
-        assert np.array_equal(first.coef, second.coef)
-        assert np.array_equal(first.intercept, second.intercept)
+        for penalty in ("l1", "l2"):
+            config = TrainConfig(penalty, strength=3.0, tolerance=1e-5)
+            first = train(data, config, dim, labels)
+            second = train(data, config, dim, labels)
+            assert np.array_equal(first.coef, second.coef)
+            assert np.array_equal(first.intercept, second.intercept)
+
+    @pytest.mark.parametrize("penalty", ["l1", "l2"])
+    def test_empty_vocabulary_gives_intercept_only_model(self, penalty):
+        # Trigrams over two-token documents: the vocabulary and every vector are empty.
+        texts, labels = ["red apple", "green apple", "blue sky"], ["A", "A", "B"]
+        config = RepresentationConfig(3, 3, "tf", False)
+        vocab = build_vocabulary(texts, config)
+        assert vocab.size == 0
+        data = list(zip(vectorize_corpus(texts, vocab, config), labels))
+        model = train(data, TrainConfig(penalty, 10.0, 1e-6), dim=0, labels=("A", "B"))
+        assert model.converged
+        assert model.coef.shape == (2, 0)
+        # The intercepts fit the label frequencies: softmax(intercept) = (2/3, 1/3).
+        assert model.intercept[0] - model.intercept[1] == pytest.approx(math.log(2), rel=1e-4)
+        assert evaluate_accuracy(model, data) == pytest.approx(2 / 3)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -202,6 +225,83 @@ class TestTrain:
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="label"):
             train([(sv({0: 1.0}, 1), "C")], TrainConfig("l2", 1.0, 1e-4), 1, ("A", "B"))
+
+
+def stopping_residual(model, data, dim, labels, config) -> float:
+    """Infinity norm of the l1 pseudo-gradient at the fit over its stopping bound."""
+    weights = np.concatenate([model.coef, model.intercept[:, None]], axis=1)
+    _, smooth = objective_and_gradient(weights, data, config, labels)
+    _, smooth0 = objective_and_gradient(np.zeros_like(weights), data, config, labels)
+    lam = config.penalty_weight
+    pseudo = smooth.copy()
+    for idx in np.ndindex(model.coef.shape):
+        w, g = model.coef[idx], smooth[idx]
+        if w != 0.0:
+            pseudo[idx] = g + lam * math.copysign(1.0, w)
+        elif abs(g) > lam:
+            pseudo[idx] = g - math.copysign(lam, g)
+        else:
+            pseudo[idx] = 0.0
+    return float(np.max(np.abs(pseudo))) / (config.tolerance * float(np.max(np.abs(smooth0))))
+
+
+def split_l1_objective(data, dim, labels, config) -> float:
+    """Optimal l1 objective from an independent U - V split under L-BFGS-B."""
+    k = len(labels)
+    block = k * dim
+    lam = config.penalty_weight
+
+    def fun(z):
+        u, v, b = z[:block], z[block : 2 * block], z[2 * block :]
+        weights = np.concatenate([(u - v).reshape(k, dim), b[:, None]], axis=1)
+        value, grad = objective_and_gradient(weights, data, config, labels)
+        value += lam * float(np.sum(u) + np.sum(v) - np.sum(np.abs(u - v)))
+        g = grad[:, :dim].ravel()
+        return value, np.concatenate([g + lam, -g + lam, grad[:, dim]])
+
+    result = scipy.optimize.minimize(
+        fun,
+        np.zeros(2 * block + k),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(0.0, None)] * (2 * block) + [(None, None)] * k,
+        options={"maxiter": 20000, "maxfun": 10**6, "ftol": 0.0, "gtol": 1e-12},
+    )
+    return float(result.fun)
+
+
+class TestTrainL1:
+    @pytest.mark.parametrize("strength_applies_to", ["loss", "penalty"])
+    def test_converged_fit_meets_stop_rule(self, strength_applies_to):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            data, dim, labels = random_instance(rng)
+            strength = float(10 ** rng.uniform(-1, 2))
+            tolerance = float(10 ** rng.uniform(-6, -3))
+            config = TrainConfig("l1", strength, tolerance, strength_applies_to=strength_applies_to)
+            model = train(data, config, dim, labels)
+            assert model.converged
+            # Exact zeros are the solver's job; recomputation may differ in the last bits.
+            assert stopping_residual(model, data, dim, labels, config) <= 1.0 + 1e-9
+
+    def test_tight_tolerance_matches_split_reference(self):
+        rng = np.random.default_rng(12)
+        for strength in (0.5, 5.0, 50.0):
+            data, dim, labels = random_instance(rng)
+            config = TrainConfig("l1", strength, 1e-8)
+            model = train(data, config, dim, labels)
+            weights = np.concatenate([model.coef, model.intercept[:, None]], axis=1)
+            value, _ = objective_and_gradient(weights, data, config, labels)
+            assert value == pytest.approx(split_l1_objective(data, dim, labels, config), rel=1e-6)
+
+    def test_iteration_cap_reports_nonconvergence(self, caplog):
+        rng = np.random.default_rng(13)
+        data, dim, labels = random_instance(rng)
+        config = TrainConfig("l1", 5.0, 1e-6, max_iterations=1)
+        with caplog.at_level(logging.WARNING, logger="textopt.logreg"):
+            model = train(data, config, dim, labels)
+        assert not model.converged
+        assert "iteration cap" in caplog.text
 
 
 class TestPredict:

@@ -20,6 +20,7 @@ from textopt.space import (
     validate_assignment,
 )
 from textopt.tpe import (
+    MAX_REJECTION_DRAWS,
     DegenerateDensityError,
     ParzenContinuous,
     TpeParams,
@@ -168,6 +169,29 @@ class TestFitContinuous:
         model = fit_continuous([domain.to_internal(1.0)], domain)
         assert (model.lo, model.hi) == (-5.0, 5.0)
         assert abs(simpson_integral(model) - 1.0) <= 1e-3
+
+    def test_sample_in_bounds(self):
+        model = fit_continuous([0.05, 0.5, 0.95], self.UNIT)
+        rng = np.random.default_rng(22)
+        draws = [model.sample(rng) for _ in range(500)]
+        assert all(0.0 <= x <= 1.0 for x in draws)
+
+    @pytest.mark.parametrize("out_of_bounds, clipped", [(7.0, 1.0), (-7.0, 0.0)])
+    def test_sample_rejection_loop_is_capped(self, out_of_bounds, clipped):
+        class AlwaysOutOfBounds:
+            normal_calls = 0
+
+            def integers(self, n):
+                return 0
+
+            def normal(self, loc, scale):
+                self.normal_calls += 1
+                return out_of_bounds
+
+        rng = AlwaysOutOfBounds()
+        model = fit_continuous([0.5], self.UNIT)
+        assert model.sample(rng) == clipped
+        assert rng.normal_calls == MAX_REJECTION_DRAWS
 
 
 class TestPathDensity:

@@ -320,10 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="run the optimization loop")
     _add_corpus_flags(p_opt)
     p_opt.add_argument("--trials", type=int, default=30, help="trial budget (default 30)")
-    p_opt.add_argument("--candidates", type=int, default=64)
-    p_opt.add_argument("--startup", type=int, default=10)
+    p_opt.add_argument("--candidates", type=int, default=TpeParams.n_candidates)
+    p_opt.add_argument("--startup", type=int, default=TpeParams.n_startup)
     p_opt.add_argument("--gamma", type=float, default=TpeParams.gamma)
-    p_opt.add_argument("--smoothing", type=float, default=1.0)
+    p_opt.add_argument("--smoothing", type=float, default=TpeParams.smoothing)
     p_opt.add_argument("--out", required=True, help="output directory")
     p_opt.set_defaults(func=cmd_optimize)
 

@@ -9,7 +9,8 @@ the active nodes to in-domain values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -36,21 +37,29 @@ class Categorical:
     """Finite ordered set of symbolic choices."""
 
     choices: tuple[Value, ...]
+    # Choice positions keyed by (is a bool, value): two keys collide exactly
+    # when value_equal holds (NaN aside), so True and 1 stay apart.
+    _index: dict[tuple[bool, Value], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "choices", tuple(self.choices))
         if not self.choices:
             raise SpaceError("categorical domain needs at least one choice")
+        index: dict[tuple[bool, Value], int] = {}
         for i, c in enumerate(self.choices):
-            for other in self.choices[i + 1 :]:
-                if value_equal(c, other):
-                    raise SpaceError(f"duplicate categorical choice {c!r}")
+            try:
+                first = index.setdefault((isinstance(c, bool), c), i)
+            except TypeError:
+                raise SpaceError(f"categorical choice {c!r} is not hashable") from None
+            if first != i:
+                raise SpaceError(f"duplicate categorical choice {c!r}")
+        object.__setattr__(self, "_index", index)
 
     def index_of(self, value: Value) -> int | None:
-        for i, c in enumerate(self.choices):
-            if value_equal(value, c):
-                return i
-        return None
+        try:
+            return self._index.get((isinstance(value, bool), value))
+        except TypeError:  # an unhashable value is no choice
+            return None
 
     def contains(self, value: Value) -> bool:
         return self.index_of(value) is not None
@@ -75,6 +84,11 @@ class IntRange:
     @property
     def choices(self) -> tuple[int, ...]:
         return tuple(range(self.lo, self.hi + 1))
+
+    @cached_property
+    def as_categorical(self) -> Categorical:
+        """The same integers as a Categorical domain, built once per range."""
+        return Categorical(self.choices)
 
     def contains(self, value: Value) -> bool:
         return (

@@ -4,13 +4,15 @@ Trial history is split at a quantile threshold y*; per-node densities are
 fitted separately to the below and above populations (reweighted categorical
 for discrete nodes, truncated Gaussian mixtures for continuous ones), and the
 next candidate maximizes a score inversely proportional to the density ratio.
+Candidates are scored together, one node at a time; discrete draws take the
+same generator steps as ``Generator.choice(k, p=weights)``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,7 +26,6 @@ from .space import (
     IntRange,
     Value,
     _condition_met,
-    active_nodes,
     sample_prior,
 )
 
@@ -125,6 +126,7 @@ class ParzenCategorical:
     domain: Categorical
     weights: np.ndarray
     smoothing: float
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -135,6 +137,9 @@ class ParzenCategorical:
             raise ValueError("weights must be strictly positive")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
+        cdf = w.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
 
     def prob(self, value: Value) -> float:
         idx = self.domain.index_of(value)
@@ -143,7 +148,8 @@ class ParzenCategorical:
         return float(self.weights[idx])
 
     def sample(self, rng: np.random.Generator) -> Value:
-        return self.domain.choices[int(rng.choice(len(self.weights), p=self.weights))]
+        """One draw, taking the same value and generator steps as ``rng.choice(k, p=weights)``."""
+        return self.domain.choices[int(self._cdf.searchsorted(rng.random(), side="right"))]
 
 
 def fit_categorical(
@@ -151,12 +157,11 @@ def fit_categorical(
 ) -> ParzenCategorical:
     if smoothing <= 0.0:
         raise ValueError(f"smoothing must be positive, got {smoothing}")
-    counts = np.zeros(len(domain.choices))
-    for obs in observations:
-        idx = domain.index_of(obs)
-        if idx is None:
-            raise ValueError(f"observation {obs!r} outside domain {domain.choices}")
-        counts[idx] += 1.0
+    indices = [domain.index_of(obs) for obs in observations]
+    if None in indices:
+        obs = observations[indices.index(None)]
+        raise ValueError(f"observation {obs!r} outside domain {domain.choices}")
+    counts = np.bincount(np.array(indices, dtype=np.intp), minlength=len(domain.choices))
     weights = counts + smoothing
     weights /= weights.sum()
     return ParzenCategorical(domain, weights, smoothing)
@@ -175,6 +180,7 @@ class ParzenContinuous:
     widths: np.ndarray
     lo: float
     hi: float
+    _mass: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         centers = np.asarray(self.centers, dtype=float)
@@ -189,19 +195,16 @@ class ParzenContinuous:
             raise ValueError("widths must be positive")
         if np.any(centers < self.lo) or np.any(centers > self.hi):
             raise ValueError("centers must lie within bounds")
-
-    def _mass(self) -> np.ndarray:
-        """In-bounds probability mass of each untruncated component."""
-        return ndtr((self.hi - self.centers) / self.widths) - ndtr(
-            (self.lo - self.centers) / self.widths
-        )
+        # In-bounds probability mass of each untruncated component.
+        mass = ndtr((self.hi - centers) / widths) - ndtr((self.lo - centers) / widths)
+        object.__setattr__(self, "_mass", mass)
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Mixture density at x; accepts scalars or arrays, zero outside bounds."""
         xs = np.asarray(x, dtype=float)
         z = (xs[..., None] - self.centers) / self.widths
         kernels = np.exp(-0.5 * z * z) / (self.widths * _SQRT_2PI)
-        density = np.mean(kernels / self._mass(), axis=-1)
+        density = np.mean(kernels / self._mass, axis=-1)
         density = np.where((xs < self.lo) | (xs > self.hi), 0.0, density)
         return float(density) if np.ndim(x) == 0 else density
 
@@ -261,11 +264,58 @@ def fit_node_models(
             internal = [node.domain.to_internal(v) for v in obs]
             models[node.name] = fit_continuous(internal, node.domain)
         else:
-            domain = node.domain
-            if isinstance(domain, IntRange):
-                domain = Categorical(domain.choices)
-            models[node.name] = fit_categorical(obs, domain, smoothing)
+            models[node.name] = fit_categorical(obs, _symbols(node.domain), smoothing)
     return models
+
+
+def _symbols(domain: Categorical | IntRange) -> Categorical:
+    """The domain whose choice indices discrete densities are fitted over."""
+    return domain.as_categorical if isinstance(domain, IntRange) else domain
+
+
+def path_densities(
+    space: ConfigSpace, populations: Sequence[NodeModels], candidates: Sequence[Assignment]
+) -> np.ndarray:
+    """Path density of every candidate under each population's models.
+
+    Returns an array of shape (len(populations), len(candidates)).  Nodes are
+    visited once each, in space order: a root is active in every candidate, a
+    child where its parent is active and takes one of its activating values
+    (the rule of ``active_nodes``).  Each population's densities for a node
+    are evaluated for all candidates where it is active at once and multiplied
+    in, so every candidate's factors are multiplied in node order.
+    """
+    density = np.ones((len(populations), len(candidates)))
+    rows_of: dict[str, list[int]] = {}
+    for node in space.nodes:
+        cond = node.condition
+        if cond is None:
+            rows = list(range(len(candidates)))
+        else:
+            parent_rows = rows_of.get(cond.parent, ())
+            rows = [i for i in parent_rows if cond.satisfied_by(candidates[i][cond.parent])]
+        rows_of[node.name] = rows
+        if not rows:
+            continue
+        values = [candidates[i][node.name] for i in rows]
+        domain = node.domain
+        if isinstance(domain, Continuous):
+            coords = np.array([domain.to_internal(v) for v in values])  # type: ignore[arg-type]
+        else:
+            indices = [_symbols(domain).index_of(v) for v in values]
+            if None in indices:
+                bad = values[indices.index(None)]
+                raise ValueError(f"value {bad!r} of node '{node.name}' outside domain")
+            coords = np.array(indices, dtype=np.intp)
+        for row, models in zip(density, populations):
+            model = models.get(node.name)
+            if model is None:
+                raise ValueError(f"missing model for active node '{node.name}'")
+            if isinstance(domain, Continuous):
+                row[rows] *= model.pdf(coords)  # type: ignore[union-attr]
+            else:
+                row[rows] *= model.weights[coords]  # type: ignore[union-attr]
+    return density
 
 
 def path_density(space: ConfigSpace, models: NodeModels, assignment: Assignment) -> float:
@@ -274,28 +324,26 @@ def path_density(space: ConfigSpace, models: NodeModels, assignment: Assignment)
     Continuous nodes are evaluated in estimation coordinates; inactive nodes
     contribute no factor.
     """
-    density = 1.0
-    for node in active_nodes(space, assignment):
-        model = models.get(node.name)
-        if model is None:
-            raise ValueError(f"missing model for active node '{node.name}'")
-        value = assignment[node.name]
-        if isinstance(node.domain, Continuous):
-            density *= model.pdf(node.domain.to_internal(value))  # type: ignore[union-attr]
-        else:
-            density *= model.prob(value)  # type: ignore[union-attr]
-    return density
+    return float(path_densities(space, [models], [assignment])[0, 0])
 
 
-def ei_score(p_below: float, p_above: float, gamma: float) -> float:
-    """Score proportional to expected improvement: 1 / (gamma + (p_below/p_above) * (1 - gamma))."""
+def ei_score(
+    p_below: float | np.ndarray, p_above: float | np.ndarray, gamma: float
+) -> float | np.ndarray:
+    """Score proportional to expected improvement: 1 / (gamma + (p_below/p_above) * (1 - gamma)).
+
+    Accepts scalars or arrays (scored elementwise).
+    """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    if p_below < 0.0:
-        raise ValueError(f"p_below must be nonnegative, got {p_below}")
-    if p_above <= 0.0:
-        raise DegenerateDensityError(f"p_above must be positive, got {p_above}")
-    return 1.0 / (gamma + (p_below / p_above) * (1.0 - gamma))
+    below = np.asarray(p_below, dtype=float)
+    above = np.asarray(p_above, dtype=float)
+    if np.any(below < 0.0):
+        raise ValueError(f"p_below must be nonnegative, got {below.min()}")
+    if np.any(above <= 0.0):
+        raise DegenerateDensityError(f"p_above must be positive, got {above.min()}")
+    score = 1.0 / (gamma + (below / above) * (1.0 - gamma))
+    return float(score) if score.ndim == 0 else score
 
 
 def sample_candidate(
@@ -328,8 +376,11 @@ def suggest(
     to both populations, n_candidates draws are taken from the above-split
     densities, and the draw with the highest expected-improvement score wins.
     An explicit candidate list replaces sampling (used to run the scorer over
-    a full enumeration of a discrete space).
+    a full enumeration of a discrete space); it must be nonempty.  Ties go to
+    the first candidate with the highest score.
     """
+    if candidates is not None and len(candidates) == 0:
+        raise ValueError("explicit candidate list is empty")
     usable = [r for r in history if math.isfinite(r.y)]
     if len(usable) < params.n_startup or not usable:
         return sample_prior(space, rng)
@@ -340,20 +391,10 @@ def suggest(
         candidates = [
             sample_candidate(space, above_models, rng) for _ in range(params.n_candidates)
         ]
-    best: Assignment | None = None
-    best_score = -math.inf
     try:
-        for cand in candidates:
-            score = ei_score(
-                path_density(space, below_models, cand),
-                path_density(space, above_models, cand),
-                params.gamma,
-            )
-            if score > best_score:
-                best = cand
-                best_score = score
+        p_below, p_above = path_densities(space, (below_models, above_models), candidates)
+        scores = ei_score(p_below, p_above, params.gamma)
     except DegenerateDensityError:
         log.warning("degenerate above-split density; substituting a prior sample")
         return sample_prior(space, rng)
-    assert best is not None
-    return best
+    return candidates[int(np.argmax(scores))]

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from textopt.cli import TRIALS_HEADER, main
+from textopt.cli import TRIALS_HEADER, build_parser, main
 from textopt.data import split_corpus, synthetic_corpus, write_tsv
+from textopt.tpe import TpeParams
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,16 @@ def read_rows(path: Path) -> list[dict[str, str]]:
 
 
 class TestOptimize:
+    def test_surrogate_flag_defaults_match_tpe_params(self):
+        args = build_parser().parse_args(["optimize", "--train", "t.tsv", "--out", "o"])
+        defaults = TpeParams()
+        assert (args.gamma, args.candidates, args.startup, args.smoothing) == (
+            defaults.gamma,
+            defaults.n_candidates,
+            defaults.n_startup,
+            defaults.smoothing,
+        )
+
     def test_writes_trials_and_best_config(self, corpus_files, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(optimize_args(corpus_files, out)) == 0

@@ -130,6 +130,28 @@ class TestDefineSpace:
         assert space.names[0] == "n_min"
 
 
+class TestCategorical:
+    def test_index_keeps_bools_apart_from_ints(self):
+        domain = Categorical((1, True, 0, False, "a", 2.5))
+        assert [domain.index_of(v) for v in (1, True, 0, False, "a", 2.5)] == [0, 1, 2, 3, 4, 5]
+        assert domain.index_of(1.0) == 0
+        assert domain.index_of(np.int64(0)) == 2
+        assert domain.index_of(2) is None
+        assert domain.index_of([1]) is None
+        assert Categorical((True, 1)).index_of(True) == 0
+
+    def test_duplicates_and_unhashable_choices_rejected(self):
+        with pytest.raises(SpaceError, match="duplicate categorical choice 1.0"):
+            Categorical((1, True, 1.0))
+        with pytest.raises(SpaceError, match="not hashable"):
+            Categorical(("a", ["b"]))
+
+    def test_int_range_as_categorical_built_once(self):
+        domain = IntRange(2, 5)
+        assert domain.as_categorical.choices == (2, 3, 4, 5)
+        assert domain.as_categorical is domain.as_categorical
+
+
 class TestTextRepSpace:
     def test_largest_n_min_forces_zero_span(self):
         space = text_rep_space()

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from textopt import smbo
 from textopt.space import (
     Categorical,
     Condition,
@@ -14,9 +15,11 @@ from textopt.space import (
     Continuous,
     IntRange,
     ParamNode,
+    active_nodes,
     define_space,
     enumerate_assignments,
     sample_prior,
+    text_rep_space,
     validate_assignment,
 )
 from textopt.tpe import (
@@ -29,6 +32,7 @@ from textopt.tpe import (
     fit_categorical,
     fit_continuous,
     fit_node_models,
+    path_densities,
     path_density,
     sample_candidate,
     split_history,
@@ -115,6 +119,23 @@ class TestFitCategorical:
     def test_out_of_domain_observation(self):
         with pytest.raises(ValueError, match="outside domain"):
             fit_categorical(["nope"], WEIGHT_DOMAIN, smoothing=1.0)
+
+    @pytest.mark.parametrize("smoothing", [1e-12, 1e-6, 1.0, 1e6])
+    def test_sample_matches_generator_choice(self, smoothing):
+        # Same values and same generator state as rng.choice(k, p=weights),
+        # including weights pushed to 1e-14 and to near-uniform by smoothing.
+        rng = np.random.default_rng(31)
+        for k in (1, 2, 3, 5, 11):
+            domain = Categorical(tuple(range(k)))
+            for _ in range(20):
+                obs = list(rng.integers(k, size=int(rng.integers(0, 300))))
+                model = fit_categorical([int(o) for o in obs], domain, smoothing)
+                seed = int(rng.integers(2**31))
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                drawn = [model.sample(ours) for _ in range(25)]
+                expected = [int(theirs.choice(k, p=model.weights)) for _ in range(25)]
+                assert drawn == expected
+                assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def simpson_integral(model: ParzenContinuous, n_points: int = 10_001) -> float:
@@ -447,6 +468,16 @@ class TestSuggest:
         suggestion = suggest(space, history, params, np.random.default_rng(1))
         assert suggestion["n_min"] == 1
 
+    def test_empty_candidate_list_rejected(self):
+        space = discrete_space()
+        history = synthetic_history(space, 20, seed=7)
+        for n_startup in (0, 30):
+            with pytest.raises(ValueError, match="empty"):
+                suggest(
+                    space, history, TpeParams(n_startup=n_startup), np.random.default_rng(0),
+                    candidates=[],
+                )
+
     def test_enumeration_mode_matches_oracle(self):
         space = discrete_space()
         assert len(enumerate_assignments(space)) == 20
@@ -461,6 +492,165 @@ class TestSuggest:
                 candidates=enumerate_assignments(space),
             )
             assert suggestion == oracle_suggest(space, history, params.gamma, params.smoothing)
+
+
+def scalar_path_density(space, models, assignment):
+    """Reference: one scalar density factor per active node, multiplied in node order."""
+    density = 1.0
+    for node in active_nodes(space, assignment):
+        value = assignment[node.name]
+        if isinstance(node.domain, Continuous):
+            density *= models[node.name].pdf(node.domain.to_internal(value))
+        else:
+            density *= models[node.name].prob(value)
+    return density
+
+
+def scalar_score(p_below, p_above, gamma):
+    return 1.0 / (gamma + (p_below / p_above) * (1.0 - gamma))
+
+
+def scalar_suggest(space, history, params, rng):
+    """Reference suggest: candidates scored one at a time, strict '>' argmax.
+
+    Categorical draws go through rng.choice(k, p=weights) directly.
+    """
+    usable = [r for r in history if math.isfinite(r.y)]
+    if len(usable) < params.n_startup or not usable:
+        return sample_prior(space, rng)
+    split = split_history(usable, params.gamma)
+    below = fit_node_models(space, split.below, params.smoothing)
+    above = fit_node_models(space, split.above, params.smoothing)
+    candidates = []
+    for _ in range(params.n_candidates):
+        cand = {}
+        for node in space.nodes:
+            cond = node.condition
+            if cond is not None and not (
+                cond.parent in cand and cond.satisfied_by(cand[cond.parent])
+            ):
+                continue
+            model = above[node.name]
+            if isinstance(node.domain, Continuous):
+                cand[node.name] = node.domain.from_internal(model.sample(rng))
+            else:
+                k = len(model.weights)
+                cand[node.name] = model.domain.choices[int(rng.choice(k, p=model.weights))]
+        candidates.append(cand)
+    best, best_score = None, -math.inf
+    for cand in candidates:
+        p_above = scalar_path_density(space, above, cand)
+        if p_above <= 0.0:
+            return sample_prior(space, rng)
+        score = scalar_score(scalar_path_density(space, below, cand), p_above, params.gamma)
+        if score > best_score:
+            best, best_score = cand, score
+    return best
+
+
+def mixed_space() -> ConfigSpace:
+    """Integer, bool/int and conditional continuous nodes, none of which text_rep_space has."""
+    return define_space(
+        [
+            ParamNode("k", IntRange(1, 6)),
+            ParamNode("flag", Categorical((True, False, 1, 0))),
+            ParamNode("x", Continuous(-2.0, 3.0)),
+            ParamNode("s", Continuous(0.01, 100.0, "log10"), Condition("flag", (True, 1))),
+            ParamNode("z", IntRange(0, 3), Condition("k", (2, 3))),
+            ParamNode("u", Continuous(0.0, 1.0), Condition("z", (0,))),
+        ]
+    )
+
+
+def cheap_objective(assignment):
+    """Deterministic score that rewards one discrete cell and one continuous point."""
+    a = assignment
+    if "n_min" in a:
+        cell = (a["n_min"] == 2) + (a["weighting"] == "tf-idf") + (a["regularizer"] == "l1")
+        return 0.1 * cell - 0.01 * (math.log10(a["strength"]) - 1.0) ** 2 - 0.02 * (
+            math.log10(a["tolerance"]) + 4.0
+        ) ** 2
+    return (
+        -abs(a["x"] - 1.0)
+        + 0.1 * a["k"]
+        + (0.3 if a["flag"] is True else 0.0)
+        - 0.05 * abs(math.log10(a.get("s", 1.0)))
+        + 0.2 * a.get("u", 0.0)
+    )
+
+
+SPACES = {"text_rep": text_rep_space, "mixed": mixed_space}
+
+
+class TestBatchScoring:
+    @pytest.mark.parametrize("space_name", sorted(SPACES))
+    def test_batch_scores_equal_scalar_scores(self, space_name):
+        space = SPACES[space_name]()
+        rng = np.random.default_rng(41)
+        for _ in range(15):
+            history = [
+                TrialRecord(sample_prior(space, rng), float(rng.random()))
+                for _ in range(int(rng.integers(2, 80)))
+            ]
+            split = split_history(history, 0.85)
+            below = fit_node_models(space, split.below, 1.0)
+            above = fit_node_models(space, split.above, 1.0)
+            candidates = [sample_candidate(space, above, rng) for _ in range(64)]
+            batch = ei_score(*path_densities(space, [below, above], candidates), 0.85).tolist()
+            one_at_a_time = [
+                ei_score(path_density(space, below, c), path_density(space, above, c), 0.85)
+                for c in candidates
+            ]
+            reference = [
+                scalar_score(
+                    scalar_path_density(space, below, c), scalar_path_density(space, above, c), 0.85
+                )
+                for c in candidates
+            ]
+            assert batch == one_at_a_time == reference
+
+    def test_first_of_tied_maxima_wins(self):
+        space = define_space([ParamNode("g", Categorical((1, 3)))])
+        history = [TrialRecord({"g": 3}, 0.1) for _ in range(3)]
+        history += [TrialRecord({"g": 1}, 0.9) for _ in range(17)]
+        params = TpeParams(n_startup=0)
+        candidates = [{"g": 3}, {"g": 1}, {"g": 3}, {"g": 1}, {"g": 1}]
+        rng = np.random.default_rng(0)
+        assert suggest(space, history, params, rng, candidates=candidates) is candidates[1]
+        same = [{"g": 3} for _ in range(4)]
+        assert suggest(space, history, params, rng, candidates=same) is same[0]
+
+    @pytest.mark.parametrize("space_name", sorted(SPACES))
+    def test_run_history_matches_scalar_reference(self, space_name, monkeypatch):
+        space = SPACES[space_name]()
+        params = TpeParams(seed=3)
+        batch = smbo.run(space, cheap_objective, 60, params)
+        monkeypatch.setattr(smbo, "suggest", scalar_suggest)
+        reference = smbo.run(space, cheap_objective, 60, params)
+        assert [(r.assignment, r.y) for r in batch.history] == [
+            (r.assignment, r.y) for r in reference.history
+        ]
+
+    def test_pdf_calls_per_suggest_do_not_grow_with_candidates(self, monkeypatch):
+        space = text_rep_space()
+        n_continuous = sum(isinstance(n.domain, Continuous) for n in space.nodes)
+        rng = np.random.default_rng(12)
+        history = [TrialRecord(sample_prior(space, rng), float(rng.random())) for _ in range(40)]
+        original = ParzenContinuous.pdf
+        calls = []
+
+        def counting_pdf(self, x):
+            calls.append(np.size(x))
+            return original(self, x)
+
+        monkeypatch.setattr(ParzenContinuous, "pdf", counting_pdf)
+        counts = {}
+        for n_candidates in (1, 8, 64, 256):
+            calls.clear()
+            suggest(space, history, TpeParams(n_candidates=n_candidates), np.random.default_rng(0))
+            counts[n_candidates] = len(calls)
+        assert len(set(counts.values())) == 1
+        assert 0 < counts[64] <= 2 * n_continuous
 
 
 class TestTpeParams:

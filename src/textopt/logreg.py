@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 import scipy.optimize
 import scipy.sparse
-from scipy.special import logsumexp
+import scipy.special
 
 from .textrep import SparseVector
 
@@ -99,21 +99,58 @@ class Model:
             )
 
 
-def _stack(data: Sequence[LabeledVector], dim: int) -> scipy.sparse.csr_matrix:
+@dataclass(frozen=True, eq=False)
+class LabeledRows:
+    """Labeled examples as one CSR matrix: row i of ``x`` carries ``labels[i]``."""
+
+    x: scipy.sparse.csr_matrix
+    labels: Sequence[str]
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+
+def _rows(data: Sequence[LabeledVector] | LabeledRows, dim: int) -> LabeledRows:
+    """The examples as a LabeledRows of ``dim`` columns; (vector, label) pairs are stacked."""
+    if isinstance(data, LabeledRows):
+        if data.x.shape[1] != dim:
+            raise ValueError(f"feature dimension {data.x.shape[1]} != {dim}")
+        return data
     indptr = np.zeros(len(data) + 1, dtype=np.int64)
     for row, (vec, _) in enumerate(data):
         indptr[row + 1] = indptr[row] + vec.indices.size
     indices = np.concatenate([vec.indices for vec, _ in data]) if data else np.empty(0, np.int64)
     values = np.concatenate([vec.values for vec, _ in data]) if data else np.empty(0)
-    return scipy.sparse.csr_matrix((values, indices, indptr), shape=(len(data), dim))
+    x = scipy.sparse.csr_matrix((values, indices, indptr), shape=(len(data), dim))
+    return LabeledRows(x, [label for _, label in data])
 
 
-def _label_indices(data: Sequence[LabeledVector], labels: Sequence[str]) -> np.ndarray:
+def _label_indices(data: LabeledRows, labels: Sequence[str]) -> np.ndarray:
     positions = {label: i for i, label in enumerate(labels)}
     try:
-        return np.asarray([positions[label] for _, label in data], dtype=np.int64)
+        return np.asarray([positions[label] for label in data.labels], dtype=np.int64)
     except KeyError as exc:
         raise ValueError(f"label {exc} not in label set {tuple(labels)}") from exc
+
+
+def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(scores, axis=1)``, bit for bit, without its overhead.
+
+    The steps are scipy 1.17's for real input: the row maximum and the count m
+    of entries equal to it are taken out of the sum of shifted exponentials.
+    Rows whose result is not finite go to scipy itself.
+    """
+    top = scores.max(axis=1, keepdims=True)
+    is_top = scores == top
+    m = is_top.sum(axis=1, keepdims=True, dtype=scores.dtype)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.exp(np.where(is_top, -np.inf, scores - top)).sum(axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + top)[:, 0]
+    bad = ~np.isfinite(out)
+    if bad.any():
+        out[bad] = scipy.special.logsumexp(scores[bad], axis=1)
+    return out
 
 
 def _smooth_loss_grad(
@@ -125,7 +162,7 @@ def _smooth_loss_grad(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Weighted negative log-softmax loss with gradients for coef and intercept."""
     scores = x @ coef.T + intercept
-    lse = logsumexp(scores, axis=1)
+    lse = _logsumexp_rows(scores)
     loss = loss_weight * float(np.sum(lse - scores[np.arange(len(y_idx)), y_idx]))
     delta = np.exp(scores - lse[:, None])
     delta[np.arange(len(y_idx)), y_idx] -= 1.0
@@ -153,8 +190,8 @@ def objective_and_gradient(
     for vec, _ in data:
         if vec.dim != dim:
             raise ValueError(f"vector dimension {vec.dim} != weight dimension {dim}")
-    x = _stack(data, dim)
-    y_idx = _label_indices(data, labels)
+    rows = _rows(data, dim)
+    x, y_idx = rows.x, _label_indices(rows, labels)
     coef, intercept = weights[:, :dim], weights[:, dim]
     loss, grad_coef, grad_intercept = _smooth_loss_grad(
         coef, intercept, x, y_idx, config.loss_weight
@@ -285,7 +322,7 @@ def _solve_l1(
 
 
 def train(
-    data: Sequence[LabeledVector],
+    data: Sequence[LabeledVector] | LabeledRows,
     config: TrainConfig,
     dim: int,
     labels: Sequence[str],
@@ -294,8 +331,8 @@ def train(
     if not data:
         raise ValueError("empty training data")
     labels = tuple(labels)
-    x = _stack(data, dim)
-    y_idx = _label_indices(data, labels)
+    rows = _rows(data, dim)
+    x, y_idx = rows.x, _label_indices(rows, labels)
     solver = _solve_l2 if config.penalty == "l2" else _solve_l1
     coef, intercept, converged = solver(x, y_idx, len(labels), config)
     if not converged:
@@ -315,17 +352,17 @@ def predict(model: Model, vec: SparseVector) -> str:
     return model.labels[int(np.argmax(scores))]
 
 
-def evaluate_accuracy(model: Model, dataset: Sequence[LabeledVector]) -> float:
+def evaluate_accuracy(model: Model, dataset: Sequence[LabeledVector] | LabeledRows) -> float:
     """Fraction of correct predictions over the dataset."""
     if not dataset:
         raise ValueError("empty evaluation dataset")
-    x = _stack(dataset, model.coef.shape[1])
-    predicted = np.argmax(_scores(model, x), axis=1)
-    actual = _label_indices_lenient(dataset, model.labels)
+    rows = _rows(dataset, model.coef.shape[1])
+    predicted = np.argmax(_scores(model, rows.x), axis=1)
+    actual = _label_indices_lenient(rows, model.labels)
     return float(np.mean(predicted == actual))
 
 
-def _label_indices_lenient(dataset: Sequence[LabeledVector], labels: tuple[str, ...]) -> np.ndarray:
+def _label_indices_lenient(dataset: LabeledRows, labels: tuple[str, ...]) -> np.ndarray:
     # Labels unseen at training time can never be predicted; map them to -1.
     positions = {label: i for i, label in enumerate(labels)}
-    return np.asarray([positions.get(label, -1) for _, label in dataset], dtype=np.int64)
+    return np.asarray([positions.get(label, -1) for label in dataset.labels], dtype=np.int64)

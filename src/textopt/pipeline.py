@@ -6,9 +6,15 @@ from collections import OrderedDict
 from typing import Callable
 
 from .data import LabeledCorpus
-from .logreg import Model, TrainConfig, evaluate_accuracy, train
+from .logreg import LabeledRows, Model, TrainConfig, evaluate_accuracy, train
 from .space import Assignment
-from .textrep import RepresentationConfig, Vocabulary, build_vocabulary, vectorize_corpus
+from .textrep import (
+    Featurizer,
+    RepresentationConfig,
+    Vocabulary,
+    build_vocabulary,
+    vectorize_corpus,
+)
 
 # Space-file spelling of the tf-idf scheme vs the internal identifier.
 _WEIGHTING_ALIASES = {"tf-idf": "tfidf"}
@@ -80,9 +86,11 @@ def report_values(assignment: Assignment) -> dict[str, object]:
 
 
 class _FeatureCache:
-    """Bounded cache of featurizations keyed by representation config."""
+    """Bounded cache of featurizations keyed by representation config; size 0 keeps none."""
 
     def __init__(self, maxsize: int = 12) -> None:
+        if maxsize < 0:
+            raise ValueError(f"cache size must be non-negative, got {maxsize}")
         self.maxsize = maxsize
         self._store: OrderedDict[RepresentationConfig, tuple] = OrderedDict()
 
@@ -97,6 +105,41 @@ class _FeatureCache:
         return value
 
 
+def _labels(corpus: LabeledCorpus) -> list[str]:
+    return [label for _, label in corpus.documents]
+
+
+def _fit_and_score(
+    assignment: Assignment,
+    featurizer: Featurizer,
+    train_corpus: LabeledCorpus,
+    eval_corpus: LabeledCorpus | None = None,
+    cache: _FeatureCache | None = None,
+) -> tuple[Model, Vocabulary, RepresentationConfig, float | None]:
+    """Featurize, train on the featurizer's training texts, and score its first scored part.
+
+    ``featurizer`` holds ``train_corpus``'s texts and, when ``eval_corpus`` is
+    given, its texts as the first scored part.  ``cache`` memoizes the
+    featurization by representation config.  Returns the model, vocabulary,
+    representation config and accuracy on ``eval_corpus`` (None without one).
+    """
+    rep, cfg = assignment_to_configs(assignment)
+    stoplist = featurizer.stoplist
+
+    def featurize() -> tuple:
+        vocab = build_vocabulary(featurizer.train, rep, stoplist)
+        return vocab, [vectorize_corpus(part, vocab, rep, stoplist) for part in featurizer.parts]
+
+    vocab, vectors = featurize() if cache is None else cache.get(rep, featurize)
+    model = train(
+        LabeledRows(vectors[0].matrix, _labels(train_corpus)), cfg, vocab.size, train_corpus.labels
+    )
+    if eval_corpus is None:
+        return model, vocab, rep, None
+    accuracy = evaluate_accuracy(model, LabeledRows(vectors[1].matrix, _labels(eval_corpus)))
+    return model, vocab, rep, accuracy
+
+
 def evaluate_assignment(
     assignment: Assignment,
     train_corpus: LabeledCorpus,
@@ -104,21 +147,16 @@ def evaluate_assignment(
     stoplist: frozenset[str],
 ) -> float:
     """One featurize/train/score pass: accuracy of the trained model on eval_corpus."""
-    model, vocab, rep = fit_assignment(assignment, train_corpus, stoplist)
-    vectors = vectorize_corpus(eval_corpus.texts, vocab, rep, stoplist)
-    return evaluate_accuracy(model, list(zip(vectors, (l for _, l in eval_corpus.documents))))
+    featurizer = Featurizer(train_corpus.texts, [eval_corpus.texts], stoplist)
+    return _fit_and_score(assignment, featurizer, train_corpus, eval_corpus)[3]
 
 
 def fit_assignment(
     assignment: Assignment, train_corpus: LabeledCorpus, stoplist: frozenset[str]
 ) -> tuple[Model, Vocabulary, RepresentationConfig]:
     """Featurize the training corpus per the assignment and train a model on it."""
-    rep, cfg = assignment_to_configs(assignment)
-    vocab = build_vocabulary(train_corpus.texts, rep, stoplist)
-    vectors = vectorize_corpus(train_corpus.texts, vocab, rep, stoplist)
-    data = list(zip(vectors, (label for _, label in train_corpus.documents)))
-    model = train(data, cfg, vocab.size, train_corpus.labels)
-    return model, vocab, rep
+    featurizer = Featurizer(train_corpus.texts, (), stoplist)
+    return _fit_and_score(assignment, featurizer, train_corpus)[:3]
 
 
 def make_objective(
@@ -129,24 +167,15 @@ def make_objective(
 ) -> Callable[[Assignment], float]:
     """Dev-accuracy objective over (train, dev); featurizations are memoized.
 
+    One featurizer over train and dev texts serves every representation: it
+    tokenizes and counts on the first cache miss and keeps its count blocks.
     The cache only stores pure featurization results, so cached and uncached
     evaluations of the same assignment return identical values.
     """
     cache = _FeatureCache(cache_size)
-    train_labels = [label for _, label in train_corpus.documents]
-    dev_labels = [label for _, label in dev_corpus.documents]
+    featurizer = Featurizer(train_corpus.texts, [dev_corpus.texts], stoplist)
 
     def objective(assignment: Assignment) -> float:
-        rep, cfg = assignment_to_configs(assignment)
-
-        def build() -> tuple:
-            vocab = build_vocabulary(train_corpus.texts, rep, stoplist)
-            x_train = vectorize_corpus(train_corpus.texts, vocab, rep, stoplist)
-            x_dev = vectorize_corpus(dev_corpus.texts, vocab, rep, stoplist)
-            return vocab, x_train, x_dev
-
-        vocab, x_train, x_dev = cache.get(rep, build)
-        model = train(list(zip(x_train, train_labels)), cfg, vocab.size, train_corpus.labels)
-        return evaluate_accuracy(model, list(zip(x_dev, dev_labels)))
+        return _fit_and_score(assignment, featurizer, train_corpus, dev_corpus, cache)[3]
 
     return objective

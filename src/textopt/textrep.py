@@ -5,6 +5,16 @@ characters; everything else separates tokens.  N-grams of lengths n_min
 through n_max are space-joined over the (optionally stopword-compacted)
 token sequence.  Vocabularies are built from training text only, with
 indices assigned in lexicographic n-gram order.
+
+All featurization goes through a ``Featurizer``: a training corpus plus any
+texts to be scored against it.  It tokenizes each text once, and keeps one
+CSR count block per (n, stopwords) over that length's sorted training
+n-grams, with their document frequencies.  A representation is the blocks
+for n_min..n_max side by side, put into lexicographic column order by one
+permutation, cached per (n_min, n_max, stopwords).  Weighting comes last:
+tf is the counts, binary their indicator, and tf-idf the counts times a
+per-column idf.  ``build_vocabulary``, ``vectorize_corpus`` and
+``vectorize`` are thin calls into it.
 """
 
 from __future__ import annotations
@@ -14,10 +24,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse
 
 WEIGHTING_SCHEMES = ("tf", "tfidf", "binary")
 
@@ -66,6 +78,22 @@ class SparseVector:
     dim: int
 
 
+class Vectors(Sequence[SparseVector]):
+    """One document vector per row of a CSR matrix; ``matrix`` is that matrix."""
+
+    def __init__(self, matrix: scipy.sparse.csr_matrix) -> None:
+        self.matrix = matrix
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
+    def __getitem__(self, row: int) -> SparseVector:
+        row = range(len(self))[row]
+        m = self.matrix
+        lo, hi = m.indptr[row], m.indptr[row + 1]
+        return SparseVector(m.indices[lo:hi], m.data[lo:hi], m.shape[1])
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase and split into maximal alphanumeric runs."""
     return _TOKEN_PATTERN.findall(text.lower())
@@ -83,6 +111,13 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     else:
         text = Path(path).read_text(encoding="utf-8")
     return frozenset(line.strip() for line in text.splitlines() if line.strip())
+
+
+def _ngrams(tokens: Sequence[str], n: int) -> list[str]:
+    """Space-joined windows of n consecutive tokens, in text order."""
+    if n == 1:
+        return list(tokens)
+    return [" ".join(window) for window in zip(*(tokens[i:] for i in range(n)))]
 
 
 def extract_ngrams(
@@ -103,15 +138,194 @@ def extract_ngrams(
         tokens = [t for t in tokens if t not in stoplist]
     grams: Counter[str] = Counter()
     for n in range(n_min, n_max + 1):
-        for i in range(len(tokens) - n + 1):
-            grams[" ".join(tokens[i : i + n])] += 1
+        grams.update(_ngrams(tokens, n))
     return grams
 
 
-def _doc_ngrams(text: str, config: RepresentationConfig, stoplist: frozenset[str]) -> Counter[str]:
-    return extract_ngrams(
-        tokenize(text), config.n_min, config.n_max, config.remove_stopwords, stoplist
+def _idf(n_docs: int, doc_freq: int) -> float:
+    return math.log((1.0 + n_docs) / (1.0 + doc_freq)) + 1.0
+
+
+def _count_matrix(
+    doc_grams: Sequence[Iterable[str]], column: dict[str, int], n_columns: int
+) -> scipy.sparse.csr_matrix:
+    """Documents x columns counts of the n-grams ``column`` maps; other n-grams are dropped."""
+    columns: list[int] = []
+    lengths: list[int] = []
+    for grams in doc_grams:
+        start = len(columns)
+        columns.extend(map(column.get, grams, repeat(-1)))
+        lengths.append(len(columns) - start)
+    cols = np.asarray(columns, dtype=np.int64)
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    kept = cols >= 0
+    # COO to CSR sums repeated (row, column) pairs and sorts each row's columns.
+    return scipy.sparse.csr_matrix(
+        (np.ones(int(kept.sum())), (rows[kept], cols[kept])), shape=(len(lengths), n_columns)
     )
+
+
+def _weight(
+    counts: scipy.sparse.csr_matrix, doc_freq: np.ndarray, n_docs: int, weighting: str
+) -> scipy.sparse.csr_matrix:
+    """Counts with a weighting applied; ``doc_freq`` holds each column's document frequency."""
+    if weighting == "tf":
+        values = counts.data
+    elif weighting == "binary":
+        values = np.ones_like(counts.data)
+    else:
+        # math.log per distinct frequency, so values equal count * _idf(...) exactly.
+        distinct, inverse = np.unique(doc_freq, return_inverse=True)
+        idf = np.array([_idf(n_docs, int(df)) for df in distinct], dtype=np.float64)
+        values = counts.data * idf[inverse][counts.indices]
+    return scipy.sparse.csr_matrix((values, counts.indices, counts.indptr), shape=counts.shape)
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Counts of one n-gram length and stopword setting, over its sorted training n-grams."""
+
+    grams: list[str]
+    counts: scipy.sparse.csr_matrix  # every text of the featurizer
+    doc_freq: np.ndarray  # training document frequency per column
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """Counts of one (n_min, n_max, stopwords) representation in vocabulary order."""
+
+    vocab: Vocabulary
+    counts: scipy.sparse.csr_matrix  # every text of the featurizer
+    doc_freq: np.ndarray
+
+
+class Texts(Sequence[str]):
+    """The texts of one part of a featurizer: its training corpus (part 0) or a set to score."""
+
+    def __init__(self, featurizer: "Featurizer", part: int) -> None:
+        self.featurizer = featurizer
+        self.part = part
+        self.rows = slice(*featurizer._bounds[part : part + 2])
+        self._texts = featurizer._texts[self.rows]
+
+    def __len__(self) -> int:
+        return len(self._texts)
+
+    def __getitem__(self, index):
+        return self._texts[index]
+
+
+class Featurizer:
+    """Tokens and n-gram count blocks of a training corpus and of texts scored against it.
+
+    ``parts`` holds the training texts first, then each scored set as given.
+    Tokens, blocks and assembled representations are computed on first use
+    and kept.
+    """
+
+    def __init__(
+        self,
+        train_texts: Iterable[str],
+        scored: Iterable[Iterable[str]] = (),
+        stoplist: frozenset[str] = frozenset(),
+    ) -> None:
+        self._texts = list(train_texts)
+        self.n_train = len(self._texts)
+        self._bounds = [0, self.n_train]
+        for texts in scored:
+            self._texts.extend(texts)
+            self._bounds.append(len(self._texts))
+        self.stoplist = stoplist
+        self._tokens: dict[bool, list[list[str]]] = {}
+        self._blocks: dict[tuple[int, bool], _Block] = {}
+        self._cells: dict[tuple[int, int, bool], _Cell] = {}
+
+    # Parts are made on request: a featurizer holding its parts would form a
+    # reference cycle, which keeps its blocks alive until a full collection.
+    @property
+    def parts(self) -> tuple[Texts, ...]:
+        return tuple(Texts(self, part) for part in range(len(self._bounds) - 1))
+
+    @property
+    def train(self) -> Texts:
+        return Texts(self, 0)
+
+    def tokens(self, remove_stopwords: bool) -> list[list[str]]:
+        """Every text's tokens, stopword-compacted if asked."""
+        if remove_stopwords not in self._tokens:
+            if remove_stopwords:
+                self._tokens[True] = [
+                    [t for t in doc if t not in self.stoplist] for doc in self.tokens(False)
+                ]
+            else:
+                self._tokens[False] = [tokenize(text) for text in self._texts]
+        return self._tokens[remove_stopwords]
+
+    def _block(self, n: int, remove_stopwords: bool) -> _Block:
+        key = (n, remove_stopwords)
+        if key not in self._blocks:
+            doc_grams = [_ngrams(doc, n) for doc in self.tokens(remove_stopwords)]
+            grams = sorted(set().union(*doc_grams[: self.n_train]))
+            counts = _count_matrix(doc_grams, dict(zip(grams, range(len(grams)))), len(grams))
+            train_columns = counts.indices[: counts.indptr[self.n_train]]
+            doc_freq = np.bincount(train_columns, minlength=len(grams))
+            self._blocks[key] = _Block(grams, counts, doc_freq)
+        return self._blocks[key]
+
+    def _cell(self, n_min: int, n_max: int, remove_stopwords: bool) -> _Cell:
+        key = (n_min, n_max, remove_stopwords)
+        if key not in self._cells:
+            blocks = [self._block(n, remove_stopwords) for n in range(n_min, n_max + 1)]
+            grams = [gram for block in blocks for gram in block.grams]
+            doc_freq = np.concatenate([block.doc_freq for block in blocks])
+            counts = blocks[0].counts
+            if len(blocks) > 1:
+                # N-grams of different lengths never coincide, so the columns
+                # of the blocks side by side only need sorting.
+                order = sorted(range(len(grams)), key=grams.__getitem__)
+                position = np.empty(len(grams), dtype=np.int64)
+                position[order] = np.arange(len(grams))
+                grams = [grams[i] for i in order]
+                doc_freq = doc_freq[order]
+                stacked = scipy.sparse.hstack([block.counts for block in blocks], format="csr")
+                counts = scipy.sparse.csr_matrix(
+                    (stacked.data, position[stacked.indices], stacked.indptr), shape=stacked.shape
+                )
+                counts.sort_indices()
+            entries = dict(zip(grams, zip(range(len(grams)), doc_freq.tolist())))
+            self._cells[key] = _Cell(Vocabulary(entries, self.n_train), counts, doc_freq)
+        return self._cells[key]
+
+    def vocabulary(self, config: RepresentationConfig) -> Vocabulary:
+        """Training n-grams of the configured lengths, indexed lexicographically."""
+        return self._cell(config.n_min, config.n_max, config.remove_stopwords).vocab
+
+    def matrix(
+        self, part: Texts, vocab: Vocabulary, config: RepresentationConfig
+    ) -> scipy.sparse.csr_matrix:
+        """Weighted vectors of one part's texts over ``vocab``; unseen n-grams are dropped."""
+        cell = self._cells.get((config.n_min, config.n_max, config.remove_stopwords))
+        if cell is not None and cell.vocab is vocab:
+            counts, doc_freq = cell.counts[part.rows], cell.doc_freq
+        else:
+            # A vocabulary from elsewhere: count straight into its indices.
+            column = {gram: index for gram, (index, _) in vocab.entries.items()}
+            doc_grams = [
+                [g for n in range(config.n_min, config.n_max + 1) for g in _ngrams(doc, n)]
+                for doc in self.tokens(config.remove_stopwords)[part.rows]
+            ]
+            counts = _count_matrix(doc_grams, column, vocab.size)
+            doc_freq = np.zeros(vocab.size, dtype=np.int64)
+            for index, df in vocab.entries.values():
+                doc_freq[index] = df
+        return _weight(counts, doc_freq, vocab.n_docs, config.weighting)
+
+
+def _part_of(texts: Sequence[str], stoplist: frozenset[str]) -> Texts:
+    """``texts`` as a featurizer part with this stoplist; other sequences get a new featurizer."""
+    if isinstance(texts, Texts) and texts.featurizer.stoplist == stoplist:
+        return texts
+    return Featurizer(texts, stoplist=stoplist).train
 
 
 def build_vocabulary(
@@ -119,18 +333,31 @@ def build_vocabulary(
     config: RepresentationConfig,
     stoplist: frozenset[str] = frozenset(),
 ) -> Vocabulary:
-    """Union of training n-grams with document frequencies, indexed lexicographically."""
+    """Union of training n-grams with document frequencies, indexed lexicographically.
+
+    ``texts`` may be a featurizer's ``train`` part, whose blocks are then reused.
+    """
     if not texts:
         raise ValueError("empty corpus")
-    df: Counter[str] = Counter()
-    for text in texts:
-        df.update(_doc_ngrams(text, config, stoplist).keys())
-    entries = {gram: (index, df[gram]) for index, gram in enumerate(sorted(df))}
-    return Vocabulary(entries, n_docs=len(texts))
+    part = _part_of(texts, stoplist)
+    if part.part != 0:
+        part = Featurizer(part, stoplist=stoplist).train
+    return part.featurizer.vocabulary(config)
 
 
-def _idf(n_docs: int, doc_freq: int) -> float:
-    return math.log((1.0 + n_docs) / (1.0 + doc_freq)) + 1.0
+def vectorize_corpus(
+    texts: Sequence[str],
+    vocab: Vocabulary,
+    config: RepresentationConfig,
+    stoplist: frozenset[str] = frozenset(),
+) -> Vectors:
+    """One weighted vector per text over ``vocab``; unseen n-grams are dropped.
+
+    ``texts`` may be a part of the featurizer that built ``vocab``, whose
+    counts are then reused.
+    """
+    part = _part_of(texts, stoplist)
+    return Vectors(part.featurizer.matrix(part, vocab, config))
 
 
 def vectorize(
@@ -140,30 +367,4 @@ def vectorize(
     stoplist: frozenset[str] = frozenset(),
 ) -> SparseVector:
     """Weight the document's in-vocabulary n-grams; unseen n-grams are dropped."""
-    grams = _doc_ngrams(text, config, stoplist)
-    items: list[tuple[int, float]] = []
-    for gram, count in grams.items():
-        entry = vocab.entries.get(gram)
-        if entry is None:
-            continue
-        index, doc_freq = entry
-        if config.weighting == "binary":
-            value = 1.0
-        elif config.weighting == "tf":
-            value = float(count)
-        else:
-            value = count * _idf(vocab.n_docs, doc_freq)
-        items.append((index, value))
-    items.sort()
-    indices = np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items))
-    values = np.fromiter((v for _, v in items), dtype=np.float64, count=len(items))
-    return SparseVector(indices, values, dim=vocab.size)
-
-
-def vectorize_corpus(
-    texts: Iterable[str],
-    vocab: Vocabulary,
-    config: RepresentationConfig,
-    stoplist: frozenset[str] = frozenset(),
-) -> list[SparseVector]:
-    return [vectorize(text, vocab, config, stoplist) for text in texts]
+    return vectorize_corpus([text], vocab, config, stoplist)[0]

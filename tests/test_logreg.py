@@ -8,10 +8,14 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
+import scipy.special
 
 from textopt.logreg import (
+    LabeledRows,
     Model,
     TrainConfig,
+    _logsumexp_rows,
     evaluate_accuracy,
     objective_and_gradient,
     predict,
@@ -268,6 +272,47 @@ def split_l1_objective(data, dim, labels, config) -> float:
         options={"maxiter": 20000, "maxfun": 10**6, "ftol": 0.0, "gtol": 1e-12},
     )
     return float(result.fun)
+
+
+class TestLogsumexpRows:
+    def _rows(self):
+        rng = np.random.default_rng(5)
+        yield rng.normal(scale=30.0, size=(400, 2))
+        yield rng.normal(size=(50, 7))
+        yield rng.normal(size=(20, 1))  # one column
+        tied = rng.integers(-3, 4, size=(200, 4)).astype(float)  # many tied maxima
+        tied[:, 1] = tied[:, 0]
+        yield tied
+        yield np.array([[700.0, -700.0, 700.0], [-700.0, -700.0, -700.0], [700.0, 699.5, 0.0]])
+        yield np.array([[0.0, -np.inf], [-np.inf, -np.inf], [np.inf, 1.0], [np.nan, 0.0]])
+
+    def test_bitwise_equal_to_scipy(self):
+        for scores in self._rows():
+            with np.errstate(invalid="ignore"):
+                expected = scipy.special.logsumexp(scores, axis=1)
+            assert _logsumexp_rows(scores).tobytes() == expected.tobytes()
+
+
+class TestLabeledRows:
+    def test_train_and_score_match_vector_pairs(self):
+        rng = np.random.default_rng(8)
+        for penalty in ("l1", "l2"):
+            data, dim, labels = random_instance(rng)
+            config = TrainConfig(penalty, 3.0, 1e-6)
+            pairs = train(data, config, dim, labels)
+            dense = np.zeros((len(data), dim))
+            for row, (vec, _) in enumerate(data):
+                dense[row, vec.indices] = vec.values
+            rows = LabeledRows(scipy.sparse.csr_matrix(dense), [label for _, label in data])
+            from_rows = train(rows, config, dim, labels)
+            assert np.array_equal(pairs.coef, from_rows.coef)
+            assert np.array_equal(pairs.intercept, from_rows.intercept)
+            assert evaluate_accuracy(from_rows, rows) == evaluate_accuracy(pairs, data)
+
+    def test_dimension_mismatch_rejected(self):
+        rows = LabeledRows(scipy.sparse.csr_matrix((2, 3)), ["A", "B"])
+        with pytest.raises(ValueError, match="dimension"):
+            train(rows, TrainConfig("l2", 1.0, 1e-4), 4, ("A", "B"))
 
 
 class TestTrainL1:

@@ -12,7 +12,10 @@ from textopt.pipeline import (
     make_objective,
     report_values,
 )
+from textopt.smbo import run
 from textopt.space import sample_prior, text_rep_space
+from textopt.textrep import load_stopwords
+from textopt.tpe import TpeParams
 
 FULL_ASSIGNMENT = {
     "n_min": 1,
@@ -97,9 +100,42 @@ class TestObjective:
         objective = make_objective(train_c, dev_c, frozenset())
         tf_assignment = dict(FULL_ASSIGNMENT, weighting="tf")
         binary_assignment = dict(FULL_ASSIGNMENT, weighting="binary")
-        assert objective(tf_assignment) == pytest.approx(
-            evaluate_assignment(tf_assignment, train_c, dev_c, frozenset())
+        assert objective(tf_assignment) == evaluate_assignment(
+            tf_assignment, train_c, dev_c, frozenset()
         )
-        assert objective(binary_assignment) == pytest.approx(
-            evaluate_assignment(binary_assignment, train_c, dev_c, frozenset())
+        assert objective(binary_assignment) == evaluate_assignment(
+            binary_assignment, train_c, dev_c, frozenset()
         )
+
+    def test_cached_search_equals_uncached_search(self, small_corpora):
+        train_c, dev_c = small_corpora
+        stoplist = load_stopwords()
+        space = text_rep_space()
+        cached = run(space, make_objective(train_c, dev_c, stoplist), 30, TpeParams(seed=3))
+        uncached = run(
+            space,
+            lambda a: evaluate_assignment(a, train_c, dev_c, stoplist),
+            30,
+            TpeParams(seed=3),
+        )
+        assert [(r.assignment, r.y) for r in cached.history] == [
+            (r.assignment, r.y) for r in uncached.history
+        ]
+
+    @pytest.mark.parametrize("cache_size", [0, 1])
+    def test_small_caches_give_uncached_values(self, small_corpora, cache_size):
+        train_c, dev_c = small_corpora
+        objective = make_objective(train_c, dev_c, frozenset(), cache_size=cache_size)
+        other = dict(FULL_ASSIGNMENT, n_min=2, **{"n_span|n_min=2": 0})
+        del other["n_span|n_min=1"]
+        fresh = evaluate_assignment(FULL_ASSIGNMENT, train_c, dev_c, frozenset())
+        assert [objective(FULL_ASSIGNMENT), objective(other), objective(FULL_ASSIGNMENT)] == [
+            fresh,
+            evaluate_assignment(other, train_c, dev_c, frozenset()),
+            fresh,
+        ]
+
+    def test_negative_cache_size_rejected(self, small_corpora):
+        train_c, dev_c = small_corpora
+        with pytest.raises(ValueError, match="cache size"):
+            make_objective(train_c, dev_c, frozenset(), cache_size=-1)

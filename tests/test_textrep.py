@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import textopt.textrep
+from textopt.data import LabeledCorpus
+from textopt.pipeline import make_objective
 from textopt.textrep import (
+    WEIGHTING_SCHEMES,
+    Featurizer,
     RepresentationConfig,
+    _idf,
     build_vocabulary,
     extract_ngrams,
     load_stopwords,
@@ -157,6 +165,153 @@ class TestVectorize:
         vectorize_corpus(["a b unseen", "totally new text"], vocab, config)
         after = hash(tuple(sorted(vocab.entries.items())))
         assert before == after
+
+
+ALL_CELLS = [
+    RepresentationConfig(n_min, n_max, weighting, remove_stopwords)
+    for n_min in (1, 2, 3)
+    for n_max in range(n_min, 4)
+    for weighting in WEIGHTING_SCHEMES
+    for remove_stopwords in (False, True)
+]
+STOPLIST = frozenset({"the", "of", "and", "a"})
+# An empty text, one shorter than a bigram, one of stopwords only, and
+# repeated n-grams; the scored texts hold n-grams the training texts lack.
+TRAIN_TEXTS = [
+    "The cat sat on the mat, and the cat slept.",
+    "",
+    "cat",
+    "the of and a",
+    "A dog of the house chased the cat of the house",
+    "mat mat mat cat dog",
+]
+SCORED_TEXTS = ["the cat chased a mouse", "", "zebra", "the of", "dog dog house mat cat sat"]
+# Trigram cells of this corpus have empty vocabularies.
+SHORT_TRAIN = ["cat dog", "the cat", "dog"]
+SHORT_SCORED = ["cat dog cat", "the the cat dog"]
+# Twenty documents with frequencies up to 19: numpy's vectorized log gives
+# another last bit than math.log for ln(21 / 20), so an idf computed with it
+# differs from _idf.
+MANY_TRAIN = [
+    ("the common " if i < 19 else "") + f"w{i} x{i % 3} y{i % 7} x{i % 3}" for i in range(20)
+]
+MANY_SCORED = ["common x1 x1 y2 unseen", "the w3 common"]
+
+
+def oracle(train_texts, texts, config, stoplist):
+    """Vocabulary {gram: (index, df)} and (indices, values) per text, from extract_ngrams."""
+
+    def grams(text):
+        return extract_ngrams(
+            tokenize(text), config.n_min, config.n_max, config.remove_stopwords, stoplist
+        )
+
+    df = Counter()
+    for text in train_texts:
+        df.update(grams(text).keys())
+    entries = {gram: (index, df[gram]) for index, gram in enumerate(sorted(df))}
+    vectors = []
+    for text in texts:
+        items = []
+        for gram, count in grams(text).items():
+            if gram in entries:
+                index, doc_freq = entries[gram]
+                if config.weighting == "binary":
+                    value = 1.0
+                elif config.weighting == "tf":
+                    value = float(count)
+                else:
+                    value = count * _idf(len(train_texts), doc_freq)
+                items.append((index, value))
+        items.sort()
+        vectors.append(([i for i, _ in items], [v for _, v in items]))
+    return entries, vectors
+
+
+class TestFeaturizer:
+    @pytest.mark.parametrize(
+        "train_texts,scored_texts",
+        [(TRAIN_TEXTS, SCORED_TEXTS), (SHORT_TRAIN, SHORT_SCORED), (MANY_TRAIN, MANY_SCORED)],
+    )
+    def test_all_cells_match_naive_oracle(self, train_texts, scored_texts):
+        featurizer = Featurizer(train_texts, [scored_texts], STOPLIST)
+        for config in ALL_CELLS:
+            vocab = build_vocabulary(featurizer.train, config, STOPLIST)
+            entries, _ = oracle(train_texts, [], config, STOPLIST)
+            assert vocab.entries == entries, config
+            assert vocab.n_docs == len(train_texts)
+            for part, texts in zip(featurizer.parts, (train_texts, scored_texts)):
+                vectors = vectorize_corpus(part, vocab, config, STOPLIST)
+                _, expected = oracle(train_texts, texts, config, STOPLIST)
+                assert len(vectors) == len(texts)
+                for vec, (indices, values) in zip(vectors, expected):
+                    assert vec.dim == vocab.size
+                    assert vec.indices.tolist() == indices, config
+                    assert vec.values.tolist() == values, config  # bitwise: no tolerance
+
+    def test_trigram_vocabulary_can_be_empty(self):
+        config = RepresentationConfig(3, 3, "tfidf", False)
+        vocab = build_vocabulary(SHORT_TRAIN, config)
+        assert vocab.size == 0
+        vectors = vectorize_corpus(SHORT_SCORED, vocab, config)
+        assert [v.indices.size for v in vectors] == [0, 0]
+        assert all(v.dim == 0 for v in vectors)
+
+    def test_plain_texts_and_featurizer_parts_agree(self):
+        featurizer = Featurizer(TRAIN_TEXTS, [SCORED_TEXTS], STOPLIST)
+        for config in ALL_CELLS:
+            shared = build_vocabulary(featurizer.train, config, STOPLIST)
+            plain = build_vocabulary(TRAIN_TEXTS, config, STOPLIST)
+            assert shared == plain
+            from_parts = vectorize_corpus(featurizer.parts[1], shared, config, STOPLIST)
+            from_list = vectorize_corpus(SCORED_TEXTS, plain, config, STOPLIST)
+            for a, b in zip(from_parts, from_list):
+                assert a.indices.tolist() == b.indices.tolist()
+                assert a.values.tolist() == b.values.tolist()
+
+    def test_freed_without_the_cycle_collector(self):
+        featurizer = Featurizer(TRAIN_TEXTS, [SCORED_TEXTS], STOPLIST)
+        config = RepresentationConfig(1, 3, "tfidf", True)
+        vocab = build_vocabulary(featurizer.train, config, STOPLIST)
+        for part in featurizer.parts:
+            vectorize_corpus(part, vocab, config, STOPLIST)
+        ref = weakref.ref(featurizer)
+        gc.disable()
+        try:
+            del featurizer, part
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_all_cells_tokenize_each_text_once(self, monkeypatch):
+        calls = Counter()
+        original = textopt.textrep.tokenize
+
+        def counting(text):
+            calls[text] += 1
+            return original(text)
+
+        monkeypatch.setattr(textopt.textrep, "tokenize", counting)
+        train = LabeledCorpus.from_pairs(
+            (f"doc {i} the cat sat {'on the mat' * (i % 3)}", "AB"[i % 2]) for i in range(12)
+        )
+        dev = LabeledCorpus.from_pairs((f"dev {i} the dog", "AB"[i % 2]) for i in range(4))
+        objective = make_objective(train, dev, STOPLIST, cache_size=36)
+        assert not calls  # nothing is tokenized before the first trial
+        for config in ALL_CELLS:
+            n_min = config.n_min
+            weighting = {"tfidf": "tf-idf"}.get(config.weighting, config.weighting)
+            objective({
+                "n_min": n_min,
+                f"n_span|n_min={n_min}": config.n_max - n_min,
+                "weighting": weighting,
+                "remove_stopwords": config.remove_stopwords,
+                "regularizer": "l2",
+                "strength": 1.0,
+                "tolerance": 1e-3,
+            })
+        assert calls == Counter(train.texts + dev.texts)
+        assert set(calls.values()) == {1}
 
 
 class TestRepresentationConfig:

@@ -11,7 +11,15 @@ from .data import (
     synthetic_corpus,
     write_tsv,
 )
-from .logreg import Model, TrainConfig, evaluate_accuracy, objective_and_gradient, predict, train
+from .logreg import (
+    LabeledRows,
+    Model,
+    TrainConfig,
+    evaluate_accuracy,
+    objective_and_gradient,
+    predict,
+    train,
+)
 from .pipeline import assignment_to_configs, evaluate_assignment, make_objective
 from .smbo import Objective, RunState, best_so_far_curve, run
 from .space import (

@@ -3,11 +3,13 @@
 The training objective is penalty(W) + C * sum of per-example negative
 log-softmax losses, where C is the strength hyperparameter (a flag flips the
 convention so strength scales the penalty instead).  An always-on intercept
-per class is appended and excluded from the penalty.  Optimization starts
-from zero weights, uses scipy's L-BFGS-B for l2 and OWL-QN (orthant-wise
-L-BFGS, Andrew & Gao 2007) for l1, and stops when the infinity norm of the
-gradient (for l1, the pseudo-gradient) falls below tolerance times the
-smooth-loss gradient norm at zero, so runs are deterministic.
+per class is appended and excluded from the penalty.  The examples are the
+rows of a CSR matrix with one label each (``LabeledRows``).  Optimization
+starts from zero weights and runs one numpy quasi-Newton loop: L-BFGS for l2,
+and for l1 its orthant-wise form OWL-QN (Andrew & Gao 2007).  It stops when
+the infinity norm of the gradient (for l1, the pseudo-gradient) falls below
+tolerance times the smooth-loss gradient norm at zero, so runs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -19,24 +21,19 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
 import scipy.special
-
-from .textrep import SparseVector
 
 log = logging.getLogger(__name__)
 
 PENALTIES = ("l1", "l2")
 
-# OWL-QN settings: L-BFGS correction pairs (L-BFGS-B's default), step
-# halvings before a line search gives up (down to 2**-40 of the first step),
-# and the Armijo sufficient-decrease constant.
+# Quasi-Newton settings: L-BFGS correction pairs, step halvings before a line
+# search gives up (down to 2**-40 of the first step), and the Armijo
+# sufficient-decrease constant.
 _HISTORY = 10
 _MAX_BACKTRACKS = 40
 _ARMIJO = 1e-4
-
-LabeledVector = tuple[SparseVector, str]
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,9 @@ class TrainConfig:
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
         if self.strength_applies_to not in ("loss", "penalty"):
-            raise ValueError(f"strength_applies_to must be 'loss' or 'penalty'")
+            raise ValueError(
+                f"strength_applies_to must be 'loss' or 'penalty', got {self.strength_applies_to!r}"
+            )
 
     @property
     def loss_weight(self) -> float:
@@ -110,21 +109,6 @@ class LabeledRows:
         return self.x.shape[0]
 
 
-def _rows(data: Sequence[LabeledVector] | LabeledRows, dim: int) -> LabeledRows:
-    """The examples as a LabeledRows of ``dim`` columns; (vector, label) pairs are stacked."""
-    if isinstance(data, LabeledRows):
-        if data.x.shape[1] != dim:
-            raise ValueError(f"feature dimension {data.x.shape[1]} != {dim}")
-        return data
-    indptr = np.zeros(len(data) + 1, dtype=np.int64)
-    for row, (vec, _) in enumerate(data):
-        indptr[row + 1] = indptr[row] + vec.indices.size
-    indices = np.concatenate([vec.indices for vec, _ in data]) if data else np.empty(0, np.int64)
-    values = np.concatenate([vec.values for vec, _ in data]) if data else np.empty(0)
-    x = scipy.sparse.csr_matrix((values, indices, indptr), shape=(len(data), dim))
-    return LabeledRows(x, [label for _, label in data])
-
-
 def _label_indices(data: LabeledRows, labels: Sequence[str]) -> np.ndarray:
     positions = {label: i for i, label in enumerate(labels)}
     try:
@@ -153,27 +137,35 @@ def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
     return out
 
 
-def _smooth_loss_grad(
+def _objective(
     coef: np.ndarray,
     intercept: np.ndarray,
     x: scipy.sparse.csr_matrix,
     y_idx: np.ndarray,
-    loss_weight: float,
+    config: TrainConfig,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Weighted negative log-softmax loss with gradients for coef and intercept."""
+    """Penalized objective with gradients for coef and intercept.
+
+    For the l1 penalty the coef gradient is the smooth loss's only.
+    """
     scores = x @ coef.T + intercept
     lse = _logsumexp_rows(scores)
-    loss = loss_weight * float(np.sum(lse - scores[np.arange(len(y_idx)), y_idx]))
+    loss = config.loss_weight * float(np.sum(lse - scores[np.arange(len(y_idx)), y_idx]))
     delta = np.exp(scores - lse[:, None])
     delta[np.arange(len(y_idx)), y_idx] -= 1.0
-    grad_coef = loss_weight * np.asarray((x.T @ delta).T)
-    grad_intercept = loss_weight * delta.sum(axis=0)
-    return loss, grad_coef, grad_intercept
+    grad_coef = config.loss_weight * np.asarray((x.T @ delta).T)
+    grad_intercept = config.loss_weight * delta.sum(axis=0)
+    if config.penalty == "l2":
+        value = loss + config.penalty_weight * 0.5 * float(np.sum(coef * coef))
+        grad_coef = grad_coef + config.penalty_weight * coef
+    else:
+        value = loss + config.penalty_weight * float(np.sum(np.abs(coef)))
+    return value, grad_coef, grad_intercept
 
 
 def objective_and_gradient(
     weights: np.ndarray,
-    data: Sequence[LabeledVector],
+    rows: LabeledRows,
     config: TrainConfig,
     labels: Sequence[str],
 ) -> tuple[float, np.ndarray]:
@@ -187,58 +179,15 @@ def objective_and_gradient(
     if weights.ndim != 2 or weights.shape[0] != len(labels):
         raise ValueError(f"expected weights of shape ({len(labels)}, N + 1)")
     dim = weights.shape[1] - 1
-    for vec, _ in data:
-        if vec.dim != dim:
-            raise ValueError(f"vector dimension {vec.dim} != weight dimension {dim}")
-    rows = _rows(data, dim)
-    x, y_idx = rows.x, _label_indices(rows, labels)
-    coef, intercept = weights[:, :dim], weights[:, dim]
-    loss, grad_coef, grad_intercept = _smooth_loss_grad(
-        coef, intercept, x, y_idx, config.loss_weight
+    if rows.x.shape[1] != dim:
+        raise ValueError(f"feature dimension {rows.x.shape[1]} != weight dimension {dim}")
+    value, grad_coef, grad_intercept = _objective(
+        weights[:, :dim], weights[:, dim], rows.x, _label_indices(rows, labels), config
     )
-    if config.penalty == "l2":
-        value = loss + config.penalty_weight * 0.5 * float(np.sum(coef * coef))
-        grad_coef = grad_coef + config.penalty_weight * coef
-    else:
-        value = loss + config.penalty_weight * float(np.sum(np.abs(coef)))
     if not np.isfinite(value):
         raise FloatingPointError("non-finite objective value")
     gradient = np.concatenate([grad_coef, grad_intercept[:, None]], axis=1)
     return value, gradient
-
-
-def _solve_l2(
-    x: scipy.sparse.csr_matrix, y_idx: np.ndarray, k: int, config: TrainConfig
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    n_features = x.shape[1]
-
-    def fun(flat: np.ndarray) -> tuple[float, np.ndarray]:
-        w = flat.reshape(k, n_features + 1)
-        coef, intercept = w[:, :n_features], w[:, n_features]
-        loss, g_coef, g_int = _smooth_loss_grad(coef, intercept, x, y_idx, config.loss_weight)
-        value = loss + config.penalty_weight * 0.5 * float(np.sum(coef * coef))
-        g_coef = g_coef + config.penalty_weight * coef
-        return value, np.concatenate([g_coef, g_int[:, None]], axis=1).ravel()
-
-    x0 = np.zeros(k * (n_features + 1))
-    _, g0 = fun(x0)
-    g0_norm = float(np.max(np.abs(g0)))
-    if g0_norm == 0.0:
-        return np.zeros((k, n_features)), np.zeros(k), True
-    result = scipy.optimize.minimize(
-        fun,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": config.max_iterations,
-            "maxfun": 10**8,
-            "ftol": 0.0,
-            "gtol": config.tolerance * g0_norm,
-        },
-    )
-    w = result.x.reshape(k, n_features + 1)
-    return w[:, :n_features], w[:, n_features], bool(result.status == 0)
 
 
 def _two_loop(v: np.ndarray, pairs: deque[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
@@ -257,26 +206,30 @@ def _two_loop(v: np.ndarray, pairs: deque[tuple[np.ndarray, np.ndarray, float]])
     return q
 
 
-def _solve_l1(
+def _solve(
     x: scipy.sparse.csr_matrix, y_idx: np.ndarray, k: int, config: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    # OWL-QN (Andrew & Gao, ICML 2007): L-BFGS over the smooth loss, steered by
-    # the l1 pseudo-gradient and held to one orthant per line search.  The
-    # variables are the k*F coefficients followed by the k unpenalized
-    # intercepts; coefficients at zero move only where the loss gradient
-    # outweighs the penalty, so they stay exactly zero otherwise.
+    # L-BFGS over the k*F coefficients followed by the k unpenalized
+    # intercepts.  For l1 it is OWL-QN (Andrew & Gao, ICML 2007): the smooth
+    # loss's L-BFGS, steered by the l1 pseudo-gradient and held to one orthant
+    # per line search; coefficients at zero move only where the loss gradient
+    # outweighs the penalty, so they stay exactly zero otherwise.  With no l1
+    # term the pseudo-gradient is the gradient and every orthant step below
+    # is skipped, which leaves plain L-BFGS.
     n_features = x.shape[1]
     block = k * n_features
+    l1 = config.penalty == "l1"
     lam = config.penalty_weight
 
     def evaluate(z: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective value and smooth-loss gradient."""
+        """Objective value and gradient (for l1, of the smooth loss)."""
         coef = z[:block].reshape(k, n_features)
-        loss, g_coef, g_int = _smooth_loss_grad(coef, z[block:], x, y_idx, config.loss_weight)
-        value = loss + lam * float(np.sum(np.abs(z[:block])))
+        value, g_coef, g_int = _objective(coef, z[block:], x, y_idx, config)
         return value, np.concatenate([g_coef.ravel(), g_int])
 
     def pseudo_gradient(z: np.ndarray, g: np.ndarray) -> np.ndarray:
+        if not l1:
+            return g
         w, g_w = z[:block], g[:block]
         pg = g.copy()
         pg[:block] = np.where(w != 0.0, g_w + lam * np.sign(w), g_w - np.clip(g_w, -lam, lam))
@@ -291,27 +244,32 @@ def _solve_l1(
         if float(np.max(np.abs(pg))) <= gtol:
             break
         d = _two_loop(-pg, pairs)
-        d[d * pg >= 0.0] = 0.0  # keep only components that agree in sign with -pg
-        # Orthant of this step: the sign of each nonzero coefficient, else the
-        # sign it would take moving along -pg.
-        orthant = np.where(z[:block] != 0.0, np.sign(z[:block]), np.sign(-pg[:block]))
+        if l1:
+            d[d * pg >= 0.0] = 0.0  # keep only components that agree in sign with -pg
+            # Orthant of this step: the sign of each nonzero coefficient, else
+            # the sign it would take moving along -pg.
+            orthant = np.where(z[:block] != 0.0, np.sign(z[:block]), np.sign(-pg[:block]))
         step = 1.0 if pairs else 1.0 / float(np.linalg.norm(d))
         for _ in range(_MAX_BACKTRACKS):
             z_new = z + step * d
-            w_new = z_new[:block]
-            w_new[np.sign(w_new) != orthant] = 0.0
+            if l1:
+                w_new = z_new[:block]
+                w_new[np.sign(w_new) != orthant] = 0.0
             value_new, g_new = evaluate(z_new)
             if value_new <= value + _ARMIJO * float(pg @ (z_new - z)):
                 break
             step *= 0.5
         else:
             break  # the objective cannot be decreased along d
-        # Coordinates the step left in place (pinned at zero) carry only cross
-        # terms; dropping them makes (s, y) a secant pair of the Hessian block
-        # of the coordinates that moved, and keeps the initial scaling
-        # s.y / y.y from collapsing when most coefficients stay at zero.
         s = z_new - z
-        y = np.where(s != 0.0, g_new - g, 0.0)
+        y = g_new - g
+        if l1:
+            # Coordinates the step left in place (pinned at zero) carry only
+            # cross terms; dropping them makes (s, y) a secant pair of the
+            # Hessian block of the coordinates that moved, and keeps the
+            # initial scaling s.y / y.y from collapsing when most
+            # coefficients stay at zero.
+            y = np.where(s != 0.0, y, 0.0)
         sy = float(s @ y)
         if sy > 0.0:
             pairs.append((s, y, 1.0 / sy))
@@ -321,48 +279,33 @@ def _solve_l1(
     return z[:block].reshape(k, n_features), z[block:], converged
 
 
-def train(
-    data: Sequence[LabeledVector] | LabeledRows,
-    config: TrainConfig,
-    dim: int,
-    labels: Sequence[str],
-) -> Model:
-    """Fit the model from zero initialization; deterministic for fixed inputs."""
-    if not data:
+def train(rows: LabeledRows, config: TrainConfig, labels: Sequence[str]) -> Model:
+    """Fit the model from zero initialization; deterministic for fixed inputs.
+
+    The feature dimension is the column count of ``rows.x``.
+    """
+    if not rows:
         raise ValueError("empty training data")
     labels = tuple(labels)
-    rows = _rows(data, dim)
-    x, y_idx = rows.x, _label_indices(rows, labels)
-    solver = _solve_l2 if config.penalty == "l2" else _solve_l1
-    coef, intercept, converged = solver(x, y_idx, len(labels), config)
+    y_idx = _label_indices(rows, labels)
+    coef, intercept, converged = _solve(rows.x, y_idx, len(labels), config)
     if not converged:
         log.warning("solver hit the iteration cap before reaching tolerance")
     return Model(labels, coef, intercept, converged)
 
 
-def _scores(model: Model, x: scipy.sparse.csr_matrix) -> np.ndarray:
-    return x @ model.coef.T + model.intercept
+def predict(model: Model, x: scipy.sparse.csr_matrix) -> list[str]:
+    """Label with the highest linear score per row of ``x``; ties break toward the earlier label."""
+    if x.shape[1] != model.coef.shape[1]:
+        raise ValueError(f"feature dimension {x.shape[1]} != model dimension {model.coef.shape[1]}")
+    return [model.labels[i] for i in np.argmax(x @ model.coef.T + model.intercept, axis=1)]
 
 
-def predict(model: Model, vec: SparseVector) -> str:
-    """Label with the highest linear score; ties break toward the earlier label."""
-    if vec.dim != model.coef.shape[1]:
-        raise ValueError(f"vector dimension {vec.dim} != model dimension {model.coef.shape[1]}")
-    scores = model.coef[:, vec.indices] @ vec.values + model.intercept
-    return model.labels[int(np.argmax(scores))]
+def evaluate_accuracy(model: Model, rows: LabeledRows) -> float:
+    """Fraction of correct predictions over the rows.
 
-
-def evaluate_accuracy(model: Model, dataset: Sequence[LabeledVector] | LabeledRows) -> float:
-    """Fraction of correct predictions over the dataset."""
-    if not dataset:
+    A label unseen at training time is never predicted, so its rows count as wrong.
+    """
+    if not rows:
         raise ValueError("empty evaluation dataset")
-    rows = _rows(dataset, model.coef.shape[1])
-    predicted = np.argmax(_scores(model, rows.x), axis=1)
-    actual = _label_indices_lenient(rows, model.labels)
-    return float(np.mean(predicted == actual))
-
-
-def _label_indices_lenient(dataset: LabeledRows, labels: tuple[str, ...]) -> np.ndarray:
-    # Labels unseen at training time can never be predicted; map them to -1.
-    positions = {label: i for i, label in enumerate(labels)}
-    return np.asarray([positions.get(label, -1) for label in dataset.labels], dtype=np.int64)
+    return float(np.mean([p == label for p, label in zip(predict(model, rows.x), rows.labels)]))

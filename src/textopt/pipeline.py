@@ -131,9 +131,7 @@ def _fit_and_score(
         return vocab, [vectorize_corpus(part, vocab, rep, stoplist) for part in featurizer.parts]
 
     vocab, vectors = featurize() if cache is None else cache.get(rep, featurize)
-    model = train(
-        LabeledRows(vectors[0].matrix, _labels(train_corpus)), cfg, vocab.size, train_corpus.labels
-    )
+    model = train(LabeledRows(vectors[0].matrix, _labels(train_corpus)), cfg, train_corpus.labels)
     if eval_corpus is None:
         return model, vocab, rep, None
     accuracy = evaluate_accuracy(model, LabeledRows(vectors[1].matrix, _labels(eval_corpus)))

@@ -41,7 +41,7 @@ from textopt.textrep import (
 )
 from textopt.tpe import TpeParams, TrialRecord, fit_categorical, fit_continuous, suggest
 
-from test_logreg import finite_difference, random_instance, sv
+from test_logreg import finite_difference, labeled, random_instance
 from test_tpe import oracle_suggest, simpson_integral
 
 # RunStates and best-so-far columns accumulated by earlier criteria; criterion 8
@@ -146,10 +146,10 @@ class TestCriterion3GradientCheck:
 class TestCriterion4ConvexSolverSanity:
     def test_separable_fit_and_l1_zero_model(self):
         start = time.perf_counter()
-        data = [(sv({0: 1.0}, 2), "A"), (sv({1: 1.0}, 2), "B")]
-        l2_model = train(data, TrainConfig("l2", 100.0, 1e-5), dim=2, labels=("A", "B"))
+        data = labeled([{0: 1.0}, {1: 1.0}], ["A", "B"], 2)
+        l2_model = train(data, TrainConfig("l2", 100.0, 1e-5), labels=("A", "B"))
         l2_ok = evaluate_accuracy(l2_model, data) == 1.0
-        l1_model = train(data, TrainConfig("l1", 1e-5, 1e-5), dim=2, labels=("A", "B"))
+        l1_model = train(data, TrainConfig("l1", 1e-5, 1e-5), labels=("A", "B"))
         l1_ok = float(np.max(np.abs(l1_model.coef))) == 0.0
         elapsed = time.perf_counter() - start
         report(

@@ -16,7 +16,7 @@ from textopt.data import (
     synthetic_corpus,
     write_tsv,
 )
-from textopt.logreg import TrainConfig, evaluate_accuracy, train
+from textopt.logreg import LabeledRows, TrainConfig, evaluate_accuracy, train
 from textopt.textrep import RepresentationConfig, build_vocabulary, vectorize_corpus
 
 
@@ -106,12 +106,12 @@ class TestSyntheticCorpus:
         x_train = vectorize_corpus(train_c.texts, vocab, config)
         x_dev = vectorize_corpus(dev_c.texts, vocab, config)
         model = train(
-            list(zip(x_train, [l for _, l in train_c.documents])),
+            LabeledRows(x_train.matrix, [l for _, l in train_c.documents]),
             TrainConfig("l2", strength=10.0, tolerance=1e-4),
-            vocab.size,
             train_c.labels,
         )
-        accuracy = evaluate_accuracy(model, list(zip(x_dev, [l for _, l in dev_c.documents])))
+        dev = LabeledRows(x_dev.matrix, [l for _, l in dev_c.documents])
+        accuracy = evaluate_accuracy(model, dev)
         assert accuracy >= 0.99
 
     def test_zero_signal_is_chance_level(self):
@@ -122,12 +122,12 @@ class TestSyntheticCorpus:
         x_train = vectorize_corpus(train_c.texts, vocab, config)
         x_dev = vectorize_corpus(dev_c.texts, vocab, config)
         model = train(
-            list(zip(x_train, [l for _, l in train_c.documents])),
+            LabeledRows(x_train.matrix, [l for _, l in train_c.documents]),
             TrainConfig("l2", strength=1.0, tolerance=1e-4),
-            vocab.size,
             train_c.labels,
         )
-        accuracy = evaluate_accuracy(model, list(zip(x_dev, [l for _, l in dev_c.documents])))
+        dev = LabeledRows(x_dev.matrix, [l for _, l in dev_c.documents])
+        accuracy = evaluate_accuracy(model, dev)
         assert abs(accuracy - 0.5) < 0.12
 
     def test_deterministic(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,18 +22,19 @@ from textopt.logreg import (
     predict,
     train,
 )
-from textopt.textrep import (
-    RepresentationConfig,
-    SparseVector,
-    build_vocabulary,
-    vectorize_corpus,
-)
+from textopt.textrep import RepresentationConfig, build_vocabulary, vectorize_corpus
 
 
-def sv(pairs: dict[int, float], dim: int) -> SparseVector:
-    indices = np.asarray(sorted(pairs), dtype=np.int64)
-    values = np.asarray([float(pairs[i]) for i in sorted(pairs)], dtype=np.float64)
-    return SparseVector(indices, values, dim)
+def csr(entries: list[dict[int, float]], dim: int) -> scipy.sparse.csr_matrix:
+    """CSR matrix of ``dim`` columns whose row i holds ``entries[i]`` (column: value)."""
+    indptr = np.cumsum([0] + [len(row) for row in entries])
+    indices = np.asarray([i for row in entries for i in sorted(row)], dtype=np.int64)
+    values = np.asarray([float(row[i]) for row in entries for i in sorted(row)], dtype=np.float64)
+    return scipy.sparse.csr_matrix((values, indices, indptr), shape=(len(entries), dim))
+
+
+def labeled(entries: list[dict[int, float]], labels: list[str], dim: int) -> LabeledRows:
+    return LabeledRows(csr(entries, dim), list(labels))
 
 
 def random_instance(rng: np.random.Generator, max_dim: int = 20, max_classes: int = 4):
@@ -40,15 +42,13 @@ def random_instance(rng: np.random.Generator, max_dim: int = 20, max_classes: in
     k = int(rng.integers(2, max_classes + 1))
     labels = tuple(f"c{i}" for i in range(k))
     n = int(rng.integers(3, 12))
-    data = []
+    entries, row_labels = [], []
     for _ in range(n):
         nnz = int(rng.integers(1, dim + 1))
         idx = rng.choice(dim, size=nnz, replace=False)
-        data.append(
-            (sv({int(i): float(v) for i, v in zip(idx, rng.normal(size=nnz))}, dim),
-             labels[int(rng.integers(k))])
-        )
-    return data, dim, labels
+        entries.append({int(i): float(v) for i, v in zip(idx, rng.normal(size=nnz))})
+        row_labels.append(labels[int(rng.integers(k))])
+    return labeled(entries, row_labels, dim), dim, labels
 
 
 def finite_difference(fun, weights: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -65,11 +65,11 @@ def finite_difference(fun, weights: np.ndarray, step: float = 1e-6) -> np.ndarra
 
 class TestObjectiveAndGradient:
     def test_zero_weights_symmetric_loss(self):
-        x = sv({0: 1.0, 2: 0.5}, 3)
+        data = labeled([{0: 1.0, 2: 0.5}], ["a"], 3)
         config = TrainConfig("l2", strength=2.0, tolerance=1e-4)
         labels = ("a", "b")
         weights = np.zeros((2, 4))
-        value, gradient = objective_and_gradient(weights, [(x, "a")], config, labels)
+        value, gradient = objective_and_gradient(weights, data, config, labels)
         assert value == pytest.approx(2.0 * math.log(2))
         # Softmax is symmetric at zero, so the true-class rows pull with -C/2 * x.
         np.testing.assert_allclose(gradient[0], [-1.0, 0.0, -0.5, -1.0])
@@ -134,8 +134,9 @@ class TestObjectiveAndGradient:
 
     def test_dimension_mismatch_rejected(self):
         config = TrainConfig("l2", 1.0, 1e-4)
+        data = labeled([{0: 1.0}], ["a"], 5)
         with pytest.raises(ValueError, match="dimension"):
-            objective_and_gradient(np.zeros((2, 4)), [(sv({0: 1.0}, 5), "a")], config, ("a", "b"))
+            objective_and_gradient(np.zeros((2, 4)), data, config, ("a", "b"))
 
     def test_strength_applies_to_penalty_flag(self):
         rng = np.random.default_rng(4)
@@ -152,27 +153,21 @@ class TestObjectiveAndGradient:
         assert penalty_side == pytest.approx(base_loss + 3.0 * 0.5 * float(np.sum(coef * coef)))
 
 
-SEPARABLE = [
-    (lambda: sv({0: 1.0}, 2), "A"),
-    (lambda: sv({1: 1.0}, 2), "B"),
-]
-
-
-def separable_data():
-    return [(make(), label) for make, label in SEPARABLE]
+def separable_data(copies: int = 1) -> LabeledRows:
+    return labeled([{0: 1.0}, {1: 1.0}] * copies, ["A", "B"] * copies, 2)
 
 
 class TestTrain:
     def test_separable_data_fit_perfectly(self):
         config = TrainConfig("l2", strength=100.0, tolerance=1e-5)
-        model = train(separable_data(), config, dim=2, labels=("A", "B"))
+        model = train(separable_data(), config, labels=("A", "B"))
         assert evaluate_accuracy(model, separable_data()) == 1.0
 
     def test_l1_with_tiny_strength_returns_zero_coefficients(self):
         # At w=0 the loss gradient magnitude is far below the l1 threshold, so
         # zero is optimal for every penalized coordinate.
         config = TrainConfig("l1", strength=1e-5, tolerance=1e-5)
-        model = train(separable_data(), config, dim=2, labels=("A", "B"))
+        model = train(separable_data(), config, labels=("A", "B"))
         assert float(np.max(np.abs(model.coef))) == 0.0
 
     def test_descent_from_zero(self):
@@ -180,7 +175,7 @@ class TestTrain:
         for penalty in ("l1", "l2"):
             data, dim, labels = random_instance(rng)
             config = TrainConfig(penalty, strength=2.0, tolerance=1e-4)
-            model = train(data, config, dim, labels)
+            model = train(data, config, labels)
             weights = np.concatenate([model.coef, model.intercept[:, None]], axis=1)
             final, _ = objective_and_gradient(weights, data, config, labels)
             at_zero, _ = objective_and_gradient(np.zeros_like(weights), data, config, labels)
@@ -192,7 +187,7 @@ class TestTrain:
         values = {}
         for tolerance in (1e-3, 1e-5):
             config = TrainConfig("l2", strength=5.0, tolerance=tolerance)
-            model = train(data, config, dim, labels)
+            model = train(data, config, labels)
             weights = np.concatenate([model.coef, model.intercept[:, None]], axis=1)
             values[tolerance], _ = objective_and_gradient(weights, data, config, labels)
         assert values[1e-5] <= values[1e-3] + 1e-8
@@ -202,8 +197,8 @@ class TestTrain:
         data, dim, labels = random_instance(rng_data)
         for penalty in ("l1", "l2"):
             config = TrainConfig(penalty, strength=3.0, tolerance=1e-5)
-            first = train(data, config, dim, labels)
-            second = train(data, config, dim, labels)
+            first = train(data, config, labels)
+            second = train(data, config, labels)
             assert np.array_equal(first.coef, second.coef)
             assert np.array_equal(first.intercept, second.intercept)
 
@@ -214,38 +209,48 @@ class TestTrain:
         config = RepresentationConfig(3, 3, "tf", False)
         vocab = build_vocabulary(texts, config)
         assert vocab.size == 0
-        data = list(zip(vectorize_corpus(texts, vocab, config), labels))
-        model = train(data, TrainConfig(penalty, 10.0, 1e-6), dim=0, labels=("A", "B"))
+        data = LabeledRows(vectorize_corpus(texts, vocab, config).matrix, labels)
+        model = train(data, TrainConfig(penalty, 10.0, 1e-6), labels=("A", "B"))
         assert model.converged
         assert model.coef.shape == (2, 0)
         # The intercepts fit the label frequencies: softmax(intercept) = (2/3, 1/3).
         assert model.intercept[0] - model.intercept[1] == pytest.approx(math.log(2), rel=1e-4)
         assert evaluate_accuracy(model, data) == pytest.approx(2 / 3)
 
+    @pytest.mark.parametrize("penalty", ["l1", "l2"])
+    def test_single_label_gives_zero_model(self, penalty):
+        # With one class the loss is 0 at any weights, so its gradient at zero
+        # is 0 and the solver stops before its first step.
+        data = labeled([{0: 1.0}, {1: 2.0}], ["A", "A"], 2)
+        model = train(data, TrainConfig(penalty, 10.0, 1e-6), labels=("A",))
+        assert model.converged
+        assert not model.coef.any() and not model.intercept.any()
+
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            train([], TrainConfig("l2", 1.0, 1e-4), dim=2, labels=("A",))
+            train(labeled([], [], 2), TrainConfig("l2", 1.0, 1e-4), labels=("A",))
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="label"):
-            train([(sv({0: 1.0}, 1), "C")], TrainConfig("l2", 1.0, 1e-4), 1, ("A", "B"))
+            train(labeled([{0: 1.0}], ["C"], 1), TrainConfig("l2", 1.0, 1e-4), ("A", "B"))
 
 
 def stopping_residual(model, data, dim, labels, config) -> float:
-    """Infinity norm of the l1 pseudo-gradient at the fit over its stopping bound."""
+    """Infinity norm of the gradient (l1: pseudo-gradient) at the fit over its stopping bound."""
     weights = np.concatenate([model.coef, model.intercept[:, None]], axis=1)
     _, smooth = objective_and_gradient(weights, data, config, labels)
     _, smooth0 = objective_and_gradient(np.zeros_like(weights), data, config, labels)
     lam = config.penalty_weight
     pseudo = smooth.copy()
-    for idx in np.ndindex(model.coef.shape):
-        w, g = model.coef[idx], smooth[idx]
-        if w != 0.0:
-            pseudo[idx] = g + lam * math.copysign(1.0, w)
-        elif abs(g) > lam:
-            pseudo[idx] = g - math.copysign(lam, g)
-        else:
-            pseudo[idx] = 0.0
+    if config.penalty == "l1":
+        for idx in np.ndindex(model.coef.shape):
+            w, g = model.coef[idx], smooth[idx]
+            if w != 0.0:
+                pseudo[idx] = g + lam * math.copysign(1.0, w)
+            elif abs(g) > lam:
+                pseudo[idx] = g - math.copysign(lam, g)
+            else:
+                pseudo[idx] = 0.0
     return float(np.max(np.abs(pseudo))) / (config.tolerance * float(np.max(np.abs(smooth0))))
 
 
@@ -274,6 +279,24 @@ def split_l1_objective(data, dim, labels, config) -> float:
     return float(result.fun)
 
 
+def lbfgsb_l2_objective(data, dim, labels, config) -> float:
+    """Optimal l2 objective from scipy's L-BFGS-B."""
+    k = len(labels)
+
+    def fun(z):
+        value, grad = objective_and_gradient(z.reshape(k, dim + 1), data, config, labels)
+        return value, grad.ravel()
+
+    result = scipy.optimize.minimize(
+        fun,
+        np.zeros(k * (dim + 1)),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": 20000, "maxfun": 10**6, "ftol": 0.0, "gtol": 1e-12},
+    )
+    return float(result.fun)
+
+
 class TestLogsumexpRows:
     def _rows(self):
         rng = np.random.default_rng(5)
@@ -293,29 +316,13 @@ class TestLogsumexpRows:
             assert _logsumexp_rows(scores).tobytes() == expected.tobytes()
 
 
-class TestLabeledRows:
-    def test_train_and_score_match_vector_pairs(self):
-        rng = np.random.default_rng(8)
-        for penalty in ("l1", "l2"):
-            data, dim, labels = random_instance(rng)
-            config = TrainConfig(penalty, 3.0, 1e-6)
-            pairs = train(data, config, dim, labels)
-            dense = np.zeros((len(data), dim))
-            for row, (vec, _) in enumerate(data):
-                dense[row, vec.indices] = vec.values
-            rows = LabeledRows(scipy.sparse.csr_matrix(dense), [label for _, label in data])
-            from_rows = train(rows, config, dim, labels)
-            assert np.array_equal(pairs.coef, from_rows.coef)
-            assert np.array_equal(pairs.intercept, from_rows.intercept)
-            assert evaluate_accuracy(from_rows, rows) == evaluate_accuracy(pairs, data)
-
-    def test_dimension_mismatch_rejected(self):
-        rows = LabeledRows(scipy.sparse.csr_matrix((2, 3)), ["A", "B"])
-        with pytest.raises(ValueError, match="dimension"):
-            train(rows, TrainConfig("l2", 1.0, 1e-4), 4, ("A", "B"))
-
-
 class TestTrainL1:
+    """Stop rule, optimum and iteration cap of the solver; TestTrainL2 runs them for l2."""
+
+    penalty = "l1"
+    strengths = (0.5, 5.0, 50.0)  # of the tight-tolerance comparison
+    reference = staticmethod(split_l1_objective)
+
     @pytest.mark.parametrize("strength_applies_to", ["loss", "penalty"])
     def test_converged_fit_meets_stop_rule(self, strength_applies_to):
         rng = np.random.default_rng(11)
@@ -323,30 +330,40 @@ class TestTrainL1:
             data, dim, labels = random_instance(rng)
             strength = float(10 ** rng.uniform(-1, 2))
             tolerance = float(10 ** rng.uniform(-6, -3))
-            config = TrainConfig("l1", strength, tolerance, strength_applies_to=strength_applies_to)
-            model = train(data, config, dim, labels)
+            config = TrainConfig(
+                self.penalty, strength, tolerance, strength_applies_to=strength_applies_to
+            )
+            model = train(data, config, labels)
             assert model.converged
             # Exact zeros are the solver's job; recomputation may differ in the last bits.
             assert stopping_residual(model, data, dim, labels, config) <= 1.0 + 1e-9
 
     def test_tight_tolerance_matches_split_reference(self):
         rng = np.random.default_rng(12)
-        for strength in (0.5, 5.0, 50.0):
+        for strength in self.strengths:
             data, dim, labels = random_instance(rng)
-            config = TrainConfig("l1", strength, 1e-8)
-            model = train(data, config, dim, labels)
+            config = TrainConfig(self.penalty, strength, 1e-8)
+            model = train(data, config, labels)
             weights = np.concatenate([model.coef, model.intercept[:, None]], axis=1)
             value, _ = objective_and_gradient(weights, data, config, labels)
-            assert value == pytest.approx(split_l1_objective(data, dim, labels, config), rel=1e-6)
+            assert value == pytest.approx(self.reference(data, dim, labels, config), rel=1e-6)
 
     def test_iteration_cap_reports_nonconvergence(self, caplog):
         rng = np.random.default_rng(13)
         data, dim, labels = random_instance(rng)
-        config = TrainConfig("l1", 5.0, 1e-6, max_iterations=1)
+        config = TrainConfig(self.penalty, 5.0, 1e-6, max_iterations=1)
         with caplog.at_level(logging.WARNING, logger="textopt.logreg"):
-            model = train(data, config, dim, labels)
+            model = train(data, config, labels)
         assert not model.converged
         assert "iteration cap" in caplog.text
+
+
+class TestTrainL2(TestTrainL1):
+    """The same checks for l2, against scipy's L-BFGS-B on the same objective."""
+
+    penalty = "l2"
+    strengths = (1e-3, 1.0, 1e3)
+    reference = staticmethod(lbfgsb_l2_objective)
 
 
 class TestPredict:
@@ -358,12 +375,11 @@ class TestPredict:
 
     def test_argmax_of_scores(self):
         model = self.model([[1.0, 0.0], [0.0, 1.0]])
-        assert predict(model, sv({0: 1.0}, 2)) == "A"
-        assert predict(model, sv({1: 1.0}, 2)) == "B"
+        assert predict(model, csr([{0: 1.0}, {1: 1.0}], 2)) == ["A", "B"]
 
     def test_tie_breaks_to_first_label(self):
         model = self.model([[0.0, 0.0], [0.0, 0.0]])
-        assert predict(model, sv({0: 1.0}, 2)) == "A"
+        assert predict(model, csr([{0: 1.0}], 2)) == ["A"]
 
     def test_constant_shift_leaves_predictions_unchanged(self):
         rng = np.random.default_rng(8)
@@ -374,20 +390,20 @@ class TestPredict:
         for _ in range(50):
             nnz = int(rng.integers(1, 5))
             idx = rng.choice(4, size=nnz, replace=False)
-            vec = sv({int(i): float(v) for i, v in zip(idx, rng.normal(size=nnz))}, 4)
+            vec = csr([{int(i): float(v) for i, v in zip(idx, rng.normal(size=nnz))}], 4)
             assert predict(base, vec) == predict(shifted, vec)
 
 
 class TestEvaluateAccuracy:
     def test_perfect_model(self):
         config = TrainConfig("l2", strength=100.0, tolerance=1e-5)
-        model = train(separable_data(), config, dim=2, labels=("A", "B"))
-        dataset = separable_data() * 5
+        model = train(separable_data(), config, labels=("A", "B"))
+        dataset = separable_data(copies=5)
         assert evaluate_accuracy(model, dataset) == 1.0
 
     def test_constant_prediction_on_balanced_set(self):
         model = Model(("A", "B"), np.zeros((2, 2)), np.asarray([1.0, 0.0]))
-        dataset = [(sv({0: 1.0}, 2), "A"), (sv({0: 1.0}, 2), "B")] * 3
+        dataset = labeled([{0: 1.0}] * 6, ["A", "B"] * 3, 2)
         assert evaluate_accuracy(model, dataset) == 0.5
 
     def test_matches_naive_recount(self):
@@ -395,21 +411,23 @@ class TestEvaluateAccuracy:
         for _ in range(10):
             data, dim, labels = random_instance(rng)
             config = TrainConfig("l2", strength=1.0, tolerance=1e-4)
-            model = train(data, config, dim, labels)
-            recount = sum(1 for vec, label in data if predict(model, vec) == label)
+            model = train(data, config, labels)
+            recount = sum(
+                1 for row, label in enumerate(data.labels) if predict(model, data.x[row]) == [label]
+            )
             assert evaluate_accuracy(model, data) == pytest.approx(recount / len(data))
 
     def test_empty_dataset_rejected(self):
         model = Model(("A",), np.zeros((1, 2)), np.zeros(1))
         with pytest.raises(ValueError, match="empty"):
-            evaluate_accuracy(model, [])
+            evaluate_accuracy(model, labeled([], [], 2))
 
 
 class TestModelSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
         data, dim, labels = random_instance(rng)
-        model = train(data, TrainConfig("l2", 2.0, 1e-4), dim, labels)
+        model = train(data, TrainConfig("l2", 2.0, 1e-4), labels)
         path = tmp_path / "model.npz"
         model.save(path)
         loaded = Model.load(path)
@@ -429,8 +447,12 @@ class TestTrainConfig:
             {"penalty": "l2", "strength": 1.0, "tolerance": 0.0},
             {"penalty": "l2", "strength": 1.0, "tolerance": 1.0},
             {"penalty": "l2", "strength": 1.0, "tolerance": 1e-4, "max_iterations": 0},
+            {"penalty": "l2", "strength": 1.0, "tolerance": 1e-4, "strength_applies_to": "both"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        # The message names the rejected value: the one that differs from a valid config.
+        valid = {"penalty": "l2", "strength": 1.0, "tolerance": 1e-4}
+        (bad,) = [value for key, value in kwargs.items() if valid.get(key) != value]
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
             TrainConfig(**kwargs)

@@ -42,14 +42,12 @@ from .space import (
     validate_assignment,
 )
 from .textrep import (
+    Featurizer,
     RepresentationConfig,
-    SparseVector,
     Vocabulary,
     build_vocabulary,
-    extract_ngrams,
     load_stopwords,
     tokenize,
-    vectorize,
     vectorize_corpus,
 )
 from .tpe import (

@@ -77,7 +77,7 @@ class Model:
     converged: bool = True
 
     def save(self, path: str | Path) -> None:
-        """Write labels, feature count, and per-class weight arrays as an .npz file."""
+        """Write labels, coefficient matrix, intercepts and the converged flag as an .npz file."""
         with open(path, "wb") as fh:
             np.savez(
                 fh,

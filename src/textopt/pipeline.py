@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable
 
 from .data import LabeledCorpus
@@ -85,26 +84,6 @@ def report_values(assignment: Assignment) -> dict[str, object]:
     return values
 
 
-class _FeatureCache:
-    """Bounded cache of featurizations keyed by representation config; size 0 keeps none."""
-
-    def __init__(self, maxsize: int = 12) -> None:
-        if maxsize < 0:
-            raise ValueError(f"cache size must be non-negative, got {maxsize}")
-        self.maxsize = maxsize
-        self._store: OrderedDict[RepresentationConfig, tuple] = OrderedDict()
-
-    def get(self, key: RepresentationConfig, build: Callable[[], tuple]) -> tuple:
-        if key in self._store:
-            self._store.move_to_end(key)
-            return self._store[key]
-        value = build()
-        self._store[key] = value
-        while len(self._store) > self.maxsize:
-            self._store.popitem(last=False)
-        return value
-
-
 def _labels(corpus: LabeledCorpus) -> list[str]:
     return [label for _, label in corpus.documents]
 
@@ -114,23 +93,17 @@ def _fit_and_score(
     featurizer: Featurizer,
     train_corpus: LabeledCorpus,
     eval_corpus: LabeledCorpus | None = None,
-    cache: _FeatureCache | None = None,
 ) -> tuple[Model, Vocabulary, RepresentationConfig, float | None]:
     """Featurize, train on the featurizer's training texts, and score its first scored part.
 
     ``featurizer`` holds ``train_corpus``'s texts and, when ``eval_corpus`` is
-    given, its texts as the first scored part.  ``cache`` memoizes the
-    featurization by representation config.  Returns the model, vocabulary,
+    given, its texts as the first scored part.  Returns the model, vocabulary,
     representation config and accuracy on ``eval_corpus`` (None without one).
     """
     rep, cfg = assignment_to_configs(assignment)
     stoplist = featurizer.stoplist
-
-    def featurize() -> tuple:
-        vocab = build_vocabulary(featurizer.train, rep, stoplist)
-        return vocab, [vectorize_corpus(part, vocab, rep, stoplist) for part in featurizer.parts]
-
-    vocab, vectors = featurize() if cache is None else cache.get(rep, featurize)
+    vocab = build_vocabulary(featurizer.train, rep, stoplist)
+    vectors = [vectorize_corpus(part, vocab, rep, stoplist) for part in featurizer.parts]
     model = train(LabeledRows(vectors[0].matrix, _labels(train_corpus)), cfg, train_corpus.labels)
     if eval_corpus is None:
         return model, vocab, rep, None
@@ -163,17 +136,23 @@ def make_objective(
     stoplist: frozenset[str],
     cache_size: int = 12,
 ) -> Callable[[Assignment], float]:
-    """Dev-accuracy objective over (train, dev); featurizations are memoized.
+    """Dev-accuracy objective over (train, dev); with ``cache_size`` > 0, counts are kept.
 
-    One featurizer over train and dev texts serves every representation: it
-    tokenizes and counts on the first cache miss and keeps its count blocks.
-    The cache only stores pure featurization results, so cached and uncached
-    evaluations of the same assignment return identical values.
+    With a positive ``cache_size``, one featurizer over train and dev texts
+    serves every trial: it tokenizes and counts on first use and keeps the
+    counts and vocabulary of each (n_min, n_max, stopwords) cell, at most 12
+    cells, so every positive size behaves the same.  With ``cache_size=0``
+    each trial featurizes with a fresh featurizer and nothing is kept.
+    Weighting is applied on every trial, so cached and uncached evaluations
+    of the same assignment return identical values.
     """
-    cache = _FeatureCache(cache_size)
+    if cache_size < 0:
+        raise ValueError(f"cache size must be non-negative, got {cache_size}")
+    if cache_size == 0:
+        return lambda a: evaluate_assignment(a, train_corpus, dev_corpus, stoplist)
     featurizer = Featurizer(train_corpus.texts, [dev_corpus.texts], stoplist)
 
     def objective(assignment: Assignment) -> float:
-        return _fit_and_score(assignment, featurizer, train_corpus, dev_corpus, cache)[3]
+        return _fit_and_score(assignment, featurizer, train_corpus, dev_corpus)[3]
 
     return objective

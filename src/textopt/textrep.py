@@ -7,21 +7,21 @@ token sequence.  Vocabularies are built from training text only, with
 indices assigned in lexicographic n-gram order.
 
 All featurization goes through a ``Featurizer``: a training corpus plus any
-texts to be scored against it.  It tokenizes each text once, and keeps one
-CSR count block per (n, stopwords) over that length's sorted training
-n-grams, with their document frequencies.  A representation is the blocks
-for n_min..n_max side by side, put into lexicographic column order by one
-permutation, cached per (n_min, n_max, stopwords).  Weighting comes last:
-tf is the counts, binary their indicator, and tf-idf the counts times a
-per-column idf.  ``build_vocabulary``, ``vectorize_corpus`` and
-``vectorize`` are thin calls into it.
+texts to be scored against it, split into parts.  It tokenizes each text
+once, and keeps one CSR count block per (n, stopwords) over that length's
+sorted training n-grams, with their document frequencies.  A representation
+is the blocks for n_min..n_max side by side, put into lexicographic column
+order by one permutation, cached per (n_min, n_max, stopwords); these counts
+are the only cache.  Weighting is applied on every call: tf is the counts,
+binary their indicator, and tf-idf the counts times a per-column idf.
+``build_vocabulary`` takes a featurizer's training part and
+``vectorize_corpus`` any part of the featurizer that built the vocabulary.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
@@ -120,28 +120,6 @@ def _ngrams(tokens: Sequence[str], n: int) -> list[str]:
     return [" ".join(window) for window in zip(*(tokens[i:] for i in range(n)))]
 
 
-def extract_ngrams(
-    tokens: Sequence[str],
-    n_min: int,
-    n_max: int,
-    remove_stopwords: bool = False,
-    stoplist: frozenset[str] = frozenset(),
-) -> Counter[str]:
-    """Multiset of space-joined n-grams for every n in [n_min, n_max].
-
-    Stopword removal compacts the token sequence before windowing, so n-grams
-    may span removed positions.
-    """
-    if not 1 <= n_min <= n_max:
-        raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}, {n_max}")
-    if remove_stopwords:
-        tokens = [t for t in tokens if t not in stoplist]
-    grams: Counter[str] = Counter()
-    for n in range(n_min, n_max + 1):
-        grams.update(_ngrams(tokens, n))
-    return grams
-
-
 def _idf(n_docs: int, doc_freq: int) -> float:
     return math.log((1.0 + n_docs) / (1.0 + doc_freq)) + 1.0
 
@@ -229,10 +207,14 @@ class Featurizer:
         scored: Iterable[Iterable[str]] = (),
         stoplist: frozenset[str] = frozenset(),
     ) -> None:
+        if isinstance(train_texts, str):
+            raise TypeError("train_texts must be a collection of texts, not a str")
         self._texts = list(train_texts)
         self.n_train = len(self._texts)
         self._bounds = [0, self.n_train]
         for texts in scored:
+            if isinstance(texts, str):
+                raise TypeError("each scored part must be a collection of texts, not a str")
             self._texts.extend(texts)
             self._bounds.append(len(self._texts))
         self.stoplist = stoplist
@@ -296,75 +278,50 @@ class Featurizer:
             self._cells[key] = _Cell(Vocabulary(entries, self.n_train), counts, doc_freq)
         return self._cells[key]
 
-    def vocabulary(self, config: RepresentationConfig) -> Vocabulary:
-        """Training n-grams of the configured lengths, indexed lexicographically."""
-        return self._cell(config.n_min, config.n_max, config.remove_stopwords).vocab
 
-    def matrix(
-        self, part: Texts, vocab: Vocabulary, config: RepresentationConfig
-    ) -> scipy.sparse.csr_matrix:
-        """Weighted vectors of one part's texts over ``vocab``; unseen n-grams are dropped."""
-        cell = self._cells.get((config.n_min, config.n_max, config.remove_stopwords))
-        if cell is not None and cell.vocab is vocab:
-            counts, doc_freq = cell.counts[part.rows], cell.doc_freq
-        else:
-            # A vocabulary from elsewhere: count straight into its indices.
-            column = {gram: index for gram, (index, _) in vocab.entries.items()}
-            doc_grams = [
-                [g for n in range(config.n_min, config.n_max + 1) for g in _ngrams(doc, n)]
-                for doc in self.tokens(config.remove_stopwords)[part.rows]
-            ]
-            counts = _count_matrix(doc_grams, column, vocab.size)
-            doc_freq = np.zeros(vocab.size, dtype=np.int64)
-            for index, df in vocab.entries.values():
-                doc_freq[index] = df
-        return _weight(counts, doc_freq, vocab.n_docs, config.weighting)
-
-
-def _part_of(texts: Sequence[str], stoplist: frozenset[str]) -> Texts:
-    """``texts`` as a featurizer part with this stoplist; other sequences get a new featurizer."""
-    if isinstance(texts, Texts) and texts.featurizer.stoplist == stoplist:
-        return texts
-    return Featurizer(texts, stoplist=stoplist).train
+def _featurizer_of(part: Texts, stoplist: frozenset[str]) -> Featurizer:
+    """The featurizer ``part`` belongs to, which must use ``stoplist``."""
+    if not isinstance(part, Texts):
+        raise TypeError(f"expected a Featurizer part, got {type(part).__name__}")
+    if part.featurizer.stoplist != stoplist:
+        raise ValueError("stoplist differs from the one the part's featurizer was built with")
+    return part.featurizer
 
 
 def build_vocabulary(
-    texts: Sequence[str],
+    part: Texts,
     config: RepresentationConfig,
     stoplist: frozenset[str] = frozenset(),
 ) -> Vocabulary:
     """Union of training n-grams with document frequencies, indexed lexicographically.
 
-    ``texts`` may be a featurizer's ``train`` part, whose blocks are then reused.
+    ``part`` is a featurizer's ``train`` part; the featurizer keeps the
+    counts behind the vocabulary for ``vectorize_corpus``.
     """
-    if not texts:
-        raise ValueError("empty corpus")
-    part = _part_of(texts, stoplist)
+    featurizer = _featurizer_of(part, stoplist)
     if part.part != 0:
-        part = Featurizer(part, stoplist=stoplist).train
-    return part.featurizer.vocabulary(config)
+        raise ValueError(f"vocabulary needs the training part, got scored part {part.part}")
+    if not part:
+        raise ValueError("empty corpus")
+    return featurizer._cell(config.n_min, config.n_max, config.remove_stopwords).vocab
 
 
 def vectorize_corpus(
-    texts: Sequence[str],
+    part: Texts,
     vocab: Vocabulary,
     config: RepresentationConfig,
     stoplist: frozenset[str] = frozenset(),
 ) -> Vectors:
-    """One weighted vector per text over ``vocab``; unseen n-grams are dropped.
+    """One weighted vector per text of ``part`` over ``vocab``; unseen n-grams are dropped.
 
-    ``texts`` may be a part of the featurizer that built ``vocab``, whose
-    counts are then reused.
+    ``vocab`` must come from ``build_vocabulary`` on the training part of the
+    same featurizer with the same n-gram lengths and stopword setting.
     """
-    part = _part_of(texts, stoplist)
-    return Vectors(part.featurizer.matrix(part, vocab, config))
-
-
-def vectorize(
-    text: str,
-    vocab: Vocabulary,
-    config: RepresentationConfig,
-    stoplist: frozenset[str] = frozenset(),
-) -> SparseVector:
-    """Weight the document's in-vocabulary n-grams; unseen n-grams are dropped."""
-    return vectorize_corpus([text], vocab, config, stoplist)[0]
+    featurizer = _featurizer_of(part, stoplist)
+    cell = featurizer._cells.get((config.n_min, config.n_max, config.remove_stopwords))
+    if cell is None or cell.vocab is not vocab:
+        raise ValueError(
+            "vocabulary was not built by the part's featurizer for "
+            f"n-grams {config.n_min}..{config.n_max}, remove_stopwords={config.remove_stopwords}"
+        )
+    return Vectors(_weight(cell.counts[part.rows], cell.doc_freq, vocab.n_docs, config.weighting))

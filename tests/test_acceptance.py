@@ -33,11 +33,11 @@ from textopt.space import (
     text_rep_space,
 )
 from textopt.textrep import (
+    Featurizer,
     RepresentationConfig,
     build_vocabulary,
-    extract_ngrams,
     load_stopwords,
-    vectorize,
+    vectorize_corpus,
 )
 from textopt.tpe import TpeParams, TrialRecord, fit_categorical, fit_continuous, suggest
 
@@ -201,8 +201,9 @@ class TestCriterion6FeaturizerOracle:
     def test_tfidf_values_and_ngram_counts(self):
         start = time.perf_counter()
         config = RepresentationConfig(1, 1, "tfidf", False)
-        vocab = build_vocabulary(["a b", "a c"], config)
-        vec = vectorize("a b", vocab, config)
+        featurizer = Featurizer(["a b", "a c"], [["a b"]])
+        vocab = build_vocabulary(featurizer.train, config)
+        vec = vectorize_corpus(featurizer.parts[1], vocab, config)[0]
         by_gram = {
             gram: vec.values[list(vec.indices).index(index)]
             for gram, (index, _) in vocab.entries.items()
@@ -222,7 +223,14 @@ class TestCriterion6FeaturizerOracle:
                 for i in range(len(tokens) - n + 1):
                     gram = " ".join(tokens[i : i + n])
                     naive[gram] = naive.get(gram, 0) + 1
-            counts_ok &= dict(extract_ngrams(tokens, n_min, n_max)) == naive
+            # tf counts of the token sequence as one training text, keyed by n-gram.
+            featurizer = Featurizer([" ".join(tokens)])
+            tf = RepresentationConfig(n_min, n_max, "tf", False)
+            tf_vocab = build_vocabulary(featurizer.train, tf)
+            gram_of = {index: gram for gram, (index, _) in tf_vocab.entries.items()}
+            vec = vectorize_corpus(featurizer.train, tf_vocab, tf)[0]
+            counts = {gram_of[i]: v for i, v in zip(vec.indices.tolist(), vec.values.tolist())}
+            counts_ok &= counts == naive
         elapsed = time.perf_counter() - start
         report(
             6,

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import textopt
 from textopt.cli import TRIALS_HEADER, build_parser, main
 from textopt.data import split_corpus, synthetic_corpus, write_tsv
 from textopt.tpe import TpeParams
@@ -263,3 +267,18 @@ class TestReport:
 
     def test_missing_log(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "none.csv")]) == 2
+
+
+def test_importing_textopt_and_cli_does_not_load_scipy_optimize():
+    # A fresh interpreter: this test process may have loaded scipy.optimize already.
+    src = str(Path(textopt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, textopt, textopt.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stdout.strip() == "[]"

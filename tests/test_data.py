@@ -17,7 +17,7 @@ from textopt.data import (
     write_tsv,
 )
 from textopt.logreg import LabeledRows, TrainConfig, evaluate_accuracy, train
-from textopt.textrep import RepresentationConfig, build_vocabulary, vectorize_corpus
+from textopt.textrep import Featurizer, RepresentationConfig, build_vocabulary, vectorize_corpus
 
 
 class TestTsv:
@@ -102,9 +102,9 @@ class TestSyntheticCorpus:
         corpus = synthetic_corpus(1000, n_classes=2, vocab_size=50, signal_strength=1.0, seed=0)
         train_c, dev_c = split_corpus(corpus, 0.2, seed=0)
         config = RepresentationConfig(1, 2, "tf", False)
-        vocab = build_vocabulary(train_c.texts, config)
-        x_train = vectorize_corpus(train_c.texts, vocab, config)
-        x_dev = vectorize_corpus(dev_c.texts, vocab, config)
+        featurizer = Featurizer(train_c.texts, [dev_c.texts])
+        vocab = build_vocabulary(featurizer.train, config)
+        x_train, x_dev = (vectorize_corpus(part, vocab, config) for part in featurizer.parts)
         model = train(
             LabeledRows(x_train.matrix, [l for _, l in train_c.documents]),
             TrainConfig("l2", strength=10.0, tolerance=1e-4),
@@ -118,9 +118,9 @@ class TestSyntheticCorpus:
         corpus = synthetic_corpus(1500, n_classes=2, vocab_size=50, signal_strength=0.0, seed=1)
         train_c, dev_c = split_corpus(corpus, 0.2, seed=0)
         config = RepresentationConfig(1, 1, "tf", False)
-        vocab = build_vocabulary(train_c.texts, config)
-        x_train = vectorize_corpus(train_c.texts, vocab, config)
-        x_dev = vectorize_corpus(dev_c.texts, vocab, config)
+        featurizer = Featurizer(train_c.texts, [dev_c.texts])
+        vocab = build_vocabulary(featurizer.train, config)
+        x_train, x_dev = (vectorize_corpus(part, vocab, config) for part in featurizer.parts)
         model = train(
             LabeledRows(x_train.matrix, [l for _, l in train_c.documents]),
             TrainConfig("l2", strength=1.0, tolerance=1e-4),

@@ -22,7 +22,7 @@ from textopt.logreg import (
     predict,
     train,
 )
-from textopt.textrep import RepresentationConfig, build_vocabulary, vectorize_corpus
+from textopt.textrep import Featurizer, RepresentationConfig, build_vocabulary, vectorize_corpus
 
 
 def csr(entries: list[dict[int, float]], dim: int) -> scipy.sparse.csr_matrix:
@@ -207,9 +207,10 @@ class TestTrain:
         # Trigrams over two-token documents: the vocabulary and every vector are empty.
         texts, labels = ["red apple", "green apple", "blue sky"], ["A", "A", "B"]
         config = RepresentationConfig(3, 3, "tf", False)
-        vocab = build_vocabulary(texts, config)
+        featurizer = Featurizer(texts)
+        vocab = build_vocabulary(featurizer.train, config)
         assert vocab.size == 0
-        data = LabeledRows(vectorize_corpus(texts, vocab, config).matrix, labels)
+        data = LabeledRows(vectorize_corpus(featurizer.train, vocab, config).matrix, labels)
         model = train(data, TrainConfig(penalty, 10.0, 1e-6), labels=("A", "B"))
         assert model.converged
         assert model.coef.shape == (2, 0)

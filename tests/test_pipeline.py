@@ -86,7 +86,7 @@ class TestObjective:
         train_c, dev_c = small_corpora
         objective = make_objective(train_c, dev_c, frozenset())
         first = objective(FULL_ASSIGNMENT)
-        second = objective(FULL_ASSIGNMENT)  # served from the featurization cache
+        second = objective(FULL_ASSIGNMENT)  # counts served from the shared featurizer
         fresh = evaluate_assignment(FULL_ASSIGNMENT, train_c, dev_c, frozenset())
         assert first == second == fresh
 

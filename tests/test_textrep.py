@@ -6,6 +6,7 @@ import gc
 import math
 import weakref
 from collections import Counter
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -18,15 +19,43 @@ from textopt.textrep import (
     Featurizer,
     RepresentationConfig,
     _idf,
+    _ngrams,
     build_vocabulary,
-    extract_ngrams,
     load_stopwords,
     tokenize,
-    vectorize,
     vectorize_corpus,
 )
 
 UNIGRAMS = RepresentationConfig(1, 1, "tf", False)
+
+
+def extract_ngrams(
+    tokens: Sequence[str],
+    n_min: int,
+    n_max: int,
+    remove_stopwords: bool = False,
+    stoplist: frozenset[str] = frozenset(),
+) -> Counter[str]:
+    """Multiset of space-joined n-grams for every n in [n_min, n_max].
+
+    Stopword removal compacts the token sequence before windowing, so n-grams
+    may span removed positions.
+    """
+    if not 1 <= n_min <= n_max:
+        raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}, {n_max}")
+    if remove_stopwords:
+        tokens = [t for t in tokens if t not in stoplist]
+    grams: Counter[str] = Counter()
+    for n in range(n_min, n_max + 1):
+        grams.update(_ngrams(tokens, n))
+    return grams
+
+
+def featurize_one(train_texts, text, config):
+    """Vocabulary of ``train_texts`` and the vector of ``text`` scored against it."""
+    featurizer = Featurizer(train_texts, [[text]])
+    vocab = build_vocabulary(featurizer.train, config)
+    return vocab, vectorize_corpus(featurizer.parts[1], vocab, config)[0]
 
 
 class TestTokenize:
@@ -91,38 +120,37 @@ class TestExtractNgrams:
 
 class TestBuildVocabulary:
     def test_hand_counted_document_frequencies(self):
-        vocab = build_vocabulary(["a b", "a c"], UNIGRAMS)
+        vocab = build_vocabulary(Featurizer(["a b", "a c"]).train, UNIGRAMS)
         assert vocab.n_docs == 2
         assert vocab.entries == {"a": (0, 2), "b": (1, 1), "c": (2, 1)}
 
     def test_deterministic(self):
-        first = build_vocabulary(["a b", "a c"], UNIGRAMS)
-        second = build_vocabulary(["a b", "a c"], UNIGRAMS)
+        first = build_vocabulary(Featurizer(["a b", "a c"]).train, UNIGRAMS)
+        second = build_vocabulary(Featurizer(["a b", "a c"]).train, UNIGRAMS)
         assert first == second
 
     def test_df_bounded_by_doc_count(self):
         texts = ["a b c d", "b c", "c d a", "a a a"]
-        vocab = build_vocabulary(texts, RepresentationConfig(1, 2, "tf", False))
+        vocab = build_vocabulary(Featurizer(texts).train, RepresentationConfig(1, 2, "tf", False))
         for _, (index, df) in vocab.entries.items():
             assert 1 <= df <= vocab.n_docs
             assert 0 <= index < vocab.size
 
     def test_indices_contiguous_and_lexicographic(self):
-        vocab = build_vocabulary(["b a", "c a"], UNIGRAMS)
+        vocab = build_vocabulary(Featurizer(["b a", "c a"]).train, UNIGRAMS)
         ordered = sorted(vocab.entries, key=lambda g: vocab.entries[g][0])
         assert ordered == sorted(vocab.entries)
         assert [vocab.entries[g][0] for g in ordered] == list(range(vocab.size))
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            build_vocabulary([], UNIGRAMS)
+            build_vocabulary(Featurizer([]).train, UNIGRAMS)
 
 
 class TestVectorize:
     def test_tfidf_hand_values(self):
         config = RepresentationConfig(1, 1, "tfidf", False)
-        vocab = build_vocabulary(["a b", "a c"], config)
-        vec = vectorize("a b", vocab, config)
+        vocab, vec = featurize_one(["a b", "a c"], "a b", config)
         by_index = dict(zip(vec.indices.tolist(), vec.values.tolist()))
         assert by_index[vocab.entries["a"][0]] == pytest.approx(1.0, abs=1e-12)
         assert by_index[vocab.entries["b"][0]] == pytest.approx(1.4055, abs=1e-4)
@@ -130,29 +158,26 @@ class TestVectorize:
 
     def test_binary_presence(self):
         config = RepresentationConfig(1, 1, "binary", False)
-        vocab = build_vocabulary(["a b", "a c"], config)
-        vec = vectorize("a b b b", vocab, config)
+        _, vec = featurize_one(["a b", "a c"], "a b b b", config)
         assert set(vec.values.tolist()) == {1.0}
 
     def test_tf_counts(self):
-        vocab = build_vocabulary(["a b", "a c"], UNIGRAMS)
-        vec = vectorize("a a b", vocab, UNIGRAMS)
+        vocab, vec = featurize_one(["a b", "a c"], "a a b", UNIGRAMS)
         by_index = dict(zip(vec.indices.tolist(), vec.values.tolist()))
         assert by_index[vocab.entries["a"][0]] == 2.0
         assert by_index[vocab.entries["b"][0]] == 1.0
 
     def test_out_of_vocabulary_dropped(self):
         config = RepresentationConfig(3, 3, "tf", False)
-        vocab = build_vocabulary(["a b c", "b c d"], config)
-        vec = vectorize("x y z w", vocab, config)
+        _, vec = featurize_one(["a b c", "b c d"], "x y z w", config)
         assert vec.indices.size == 0
 
     def test_indices_strictly_increasing_and_in_range(self):
         config = RepresentationConfig(1, 3, "tfidf", False)
         texts = ["the quick brown fox", "jumps over the lazy dog", "the fox"]
-        vocab = build_vocabulary(texts, config)
-        for text in texts + ["unseen words entirely", ""]:
-            vec = vectorize(text, vocab, config)
+        featurizer = Featurizer(texts, [texts + ["unseen words entirely", ""]])
+        vocab = build_vocabulary(featurizer.train, config)
+        for vec in vectorize_corpus(featurizer.parts[1], vocab, config):
             assert np.all(np.diff(vec.indices) > 0)
             assert vec.indices.size == 0 or vec.indices[-1] < vocab.size
             assert np.all(np.isfinite(vec.values))
@@ -160,9 +185,10 @@ class TestVectorize:
 
     def test_featurizing_never_mutates_vocabulary(self):
         config = RepresentationConfig(1, 2, "tfidf", False)
-        vocab = build_vocabulary(["a b", "a c"], config)
+        featurizer = Featurizer(["a b", "a c"], [["a b unseen", "totally new text"]])
+        vocab = build_vocabulary(featurizer.train, config)
         before = hash(tuple(sorted(vocab.entries.items())))
-        vectorize_corpus(["a b unseen", "totally new text"], vocab, config)
+        vectorize_corpus(featurizer.parts[1], vocab, config)
         after = hash(tuple(sorted(vocab.entries.items())))
         assert before == after
 
@@ -251,23 +277,39 @@ class TestFeaturizer:
 
     def test_trigram_vocabulary_can_be_empty(self):
         config = RepresentationConfig(3, 3, "tfidf", False)
-        vocab = build_vocabulary(SHORT_TRAIN, config)
+        featurizer = Featurizer(SHORT_TRAIN, [SHORT_SCORED])
+        vocab = build_vocabulary(featurizer.train, config)
         assert vocab.size == 0
-        vectors = vectorize_corpus(SHORT_SCORED, vocab, config)
+        vectors = vectorize_corpus(featurizer.parts[1], vocab, config)
         assert [v.indices.size for v in vectors] == [0, 0]
         assert all(v.dim == 0 for v in vectors)
 
-    def test_plain_texts_and_featurizer_parts_agree(self):
+    @pytest.mark.parametrize("train_texts,scored", [("a b", ()), (["a b"], ["a b", "c"])])
+    def test_str_in_place_of_texts_rejected(self, train_texts, scored):
+        with pytest.raises(TypeError, match="not a str"):
+            Featurizer(train_texts, scored)
+
+    def test_plain_text_list_rejected(self):
+        with pytest.raises(TypeError, match="expected a Featurizer part, got list"):
+            build_vocabulary(TRAIN_TEXTS, UNIGRAMS)
+
+    @pytest.mark.parametrize("mismatch", ["foreign vocabulary", "scored part", "stoplist"])
+    def test_mismatched_inputs_rejected(self, mismatch):
+        config = RepresentationConfig(1, 2, "tf", True)
         featurizer = Featurizer(TRAIN_TEXTS, [SCORED_TEXTS], STOPLIST)
-        for config in ALL_CELLS:
-            shared = build_vocabulary(featurizer.train, config, STOPLIST)
-            plain = build_vocabulary(TRAIN_TEXTS, config, STOPLIST)
-            assert shared == plain
-            from_parts = vectorize_corpus(featurizer.parts[1], shared, config, STOPLIST)
-            from_list = vectorize_corpus(SCORED_TEXTS, plain, config, STOPLIST)
-            for a, b in zip(from_parts, from_list):
-                assert a.indices.tolist() == b.indices.tolist()
-                assert a.values.tolist() == b.values.tolist()
+        vocab = build_vocabulary(featurizer.train, config, STOPLIST)
+        if mismatch == "foreign vocabulary":
+            other = Featurizer(TRAIN_TEXTS, (), STOPLIST)
+            foreign = build_vocabulary(other.train, config, STOPLIST)
+            assert foreign == vocab  # equal contents, built by another featurizer
+            with pytest.raises(ValueError, match="not built by the part's featurizer"):
+                vectorize_corpus(featurizer.parts[1], foreign, config, STOPLIST)
+        elif mismatch == "scored part":
+            with pytest.raises(ValueError, match="training part, got scored part 1"):
+                build_vocabulary(featurizer.parts[1], config, STOPLIST)
+        else:
+            with pytest.raises(ValueError, match="stoplist differs"):
+                vectorize_corpus(featurizer.parts[1], vocab, config, frozenset())
 
     def test_freed_without_the_cycle_collector(self):
         featurizer = Featurizer(TRAIN_TEXTS, [SCORED_TEXTS], STOPLIST)

@@ -138,29 +138,36 @@ def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
 
 
 def _objective(
-    coef: np.ndarray,
-    intercept: np.ndarray,
+    z: np.ndarray,
     x: scipy.sparse.csr_matrix,
+    x_t: scipy.sparse.csr_matrix,
     y_idx: np.ndarray,
     config: TrainConfig,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Penalized objective with gradients for coef and intercept.
+    grad: np.ndarray,
+) -> float:
+    """Penalized objective at ``z``; its gradient is written into ``grad``.
 
-    For the l1 penalty the coef gradient is the smooth loss's only.
+    ``z`` holds the k x F coefficients row by row, then the k intercepts, and
+    ``x_t`` is ``x.T`` as a CSR matrix.  For the l1 penalty the coef gradient
+    is the smooth loss's only.
     """
-    scores = x @ coef.T + intercept
+    n_features = x.shape[1]
+    k = z.size // (n_features + 1)
+    block = k * n_features
+    coef = z[:block].reshape(k, n_features)
+    scores = x @ coef.T + z[block:]
     lse = _logsumexp_rows(scores)
-    loss = config.loss_weight * float(np.sum(lse - scores[np.arange(len(y_idx)), y_idx]))
+    rows = np.arange(len(y_idx))
+    loss = config.loss_weight * float(np.sum(lse - scores[rows, y_idx]))
     delta = np.exp(scores - lse[:, None])
-    delta[np.arange(len(y_idx)), y_idx] -= 1.0
-    grad_coef = config.loss_weight * np.asarray((x.T @ delta).T)
-    grad_intercept = config.loss_weight * delta.sum(axis=0)
+    delta[rows, y_idx] -= 1.0
+    grad_coef = grad[:block].reshape(coef.shape)
+    np.multiply((x_t @ delta).T, config.loss_weight, out=grad_coef)
+    grad[block:] = config.loss_weight * delta.sum(axis=0)
     if config.penalty == "l2":
-        value = loss + config.penalty_weight * 0.5 * float(np.sum(coef * coef))
-        grad_coef = grad_coef + config.penalty_weight * coef
-    else:
-        value = loss + config.penalty_weight * float(np.sum(np.abs(coef)))
-    return value, grad_coef, grad_intercept
+        grad_coef += config.penalty_weight * coef
+        return loss + config.penalty_weight * 0.5 * float(np.sum(coef * coef))
+    return loss + config.penalty_weight * float(np.sum(np.abs(coef)))
 
 
 def objective_and_gradient(
@@ -181,12 +188,13 @@ def objective_and_gradient(
     dim = weights.shape[1] - 1
     if rows.x.shape[1] != dim:
         raise ValueError(f"feature dimension {rows.x.shape[1]} != weight dimension {dim}")
-    value, grad_coef, grad_intercept = _objective(
-        weights[:, :dim], weights[:, dim], rows.x, _label_indices(rows, labels), config
-    )
+    z = np.concatenate([weights[:, :dim].ravel(), weights[:, dim]])
+    grad = np.empty_like(z)
+    value = _objective(z, rows.x, rows.x.T.tocsr(), _label_indices(rows, labels), config, grad)
     if not np.isfinite(value):
         raise FloatingPointError("non-finite objective value")
-    gradient = np.concatenate([grad_coef, grad_intercept[:, None]], axis=1)
+    block = len(labels) * dim
+    gradient = np.concatenate([grad[:block].reshape(len(labels), dim), grad[block:, None]], axis=1)
     return value, gradient
 
 
@@ -220,12 +228,12 @@ def _solve(
     block = k * n_features
     l1 = config.penalty == "l1"
     lam = config.penalty_weight
+    x_t = x.T.tocsr()
 
     def evaluate(z: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective value and gradient (for l1, of the smooth loss)."""
-        coef = z[:block].reshape(k, n_features)
-        value, g_coef, g_int = _objective(coef, z[block:], x, y_idx, config)
-        return value, np.concatenate([g_coef.ravel(), g_int])
+        g = np.empty_like(z)
+        return _objective(z, x, x_t, y_idx, config, g), g
 
     def pseudo_gradient(z: np.ndarray, g: np.ndarray) -> np.ndarray:
         if not l1:

@@ -11,9 +11,10 @@ texts to be scored against it, split into parts.  It tokenizes each text
 once, and keeps one CSR count block per (n, stopwords) over that length's
 sorted training n-grams, with their document frequencies.  A representation
 is the blocks for n_min..n_max side by side, put into lexicographic column
-order by one permutation, cached per (n_min, n_max, stopwords); these counts
-are the only cache.  Weighting is applied on every call: tf is the counts,
-binary their indicator, and tf-idf the counts times a per-column idf.
+order by one permutation, cached per (n_min, n_max, stopwords) with the
+per-column idf of its first tf-idf weighting; these are the only cache.
+Weighting is applied on every call: tf is the counts, binary their
+indicator, and tf-idf the counts times that idf.
 ``build_vocabulary`` takes a featurizer's training part and
 ``vectorize_corpus`` any part of the featurizer that built the vocabulary.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
@@ -143,19 +145,15 @@ def _count_matrix(
     )
 
 
-def _weight(
-    counts: scipy.sparse.csr_matrix, doc_freq: np.ndarray, n_docs: int, weighting: str
-) -> scipy.sparse.csr_matrix:
-    """Counts with a weighting applied; ``doc_freq`` holds each column's document frequency."""
+def _weight(cell: "_Cell", rows: slice, weighting: str) -> scipy.sparse.csr_matrix:
+    """The counts of ``rows`` of ``cell`` with a weighting applied."""
+    counts = cell.counts[rows]
     if weighting == "tf":
         values = counts.data
     elif weighting == "binary":
         values = np.ones_like(counts.data)
     else:
-        # math.log per distinct frequency, so values equal count * _idf(...) exactly.
-        distinct, inverse = np.unique(doc_freq, return_inverse=True)
-        idf = np.array([_idf(n_docs, int(df)) for df in distinct], dtype=np.float64)
-        values = counts.data * idf[inverse][counts.indices]
+        values = counts.data * cell.idf[counts.indices]
     return scipy.sparse.csr_matrix((values, counts.indices, counts.indptr), shape=counts.shape)
 
 
@@ -175,6 +173,14 @@ class _Cell:
     vocab: Vocabulary
     counts: scipy.sparse.csr_matrix  # every text of the featurizer
     doc_freq: np.ndarray
+
+    @cached_property
+    def idf(self) -> np.ndarray:
+        """Per-column idf, made on the first tf-idf weighting of the cell."""
+        # math.log per distinct frequency, so values equal count * _idf(...) exactly.
+        distinct, inverse = np.unique(self.doc_freq, return_inverse=True)
+        idf = np.array([_idf(self.vocab.n_docs, int(df)) for df in distinct], dtype=np.float64)
+        return idf[inverse]
 
 
 class Texts(Sequence[str]):
@@ -324,4 +330,4 @@ def vectorize_corpus(
             "vocabulary was not built by the part's featurizer for "
             f"n-grams {config.n_min}..{config.n_max}, remove_stopwords={config.remove_stopwords}"
         )
-    return Vectors(_weight(cell.counts[part.rows], cell.doc_freq, vocab.n_docs, config.weighting))
+    return Vectors(_weight(cell, part.rows, config.weighting))

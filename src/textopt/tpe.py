@@ -4,14 +4,22 @@ Trial history is split at a quantile threshold y*; per-node densities are
 fitted separately to the below and above populations (reweighted categorical
 for discrete nodes, truncated Gaussian mixtures for continuous ones), and the
 next candidate maximizes a score inversely proportional to the density ratio.
-Candidates are scored together, one node at a time; discrete draws take the
-same generator steps as ``Generator.choice(k, p=weights)``.
+
+Fitting, drawing and scoring all run on code rows: one float per node of the
+space, in space order, holding the symbol index of a discrete node's value,
+the estimation coordinate of a continuous node's value, and NaN where the
+node is inactive.  A trial is encoded once and keeps its row for the space it
+was encoded under; drawn candidates emit their rows as they are drawn, and
+explicit candidates go through the same encoder.  Candidates are scored
+together, one node at a time; discrete draws take the same generator steps
+as ``Generator.choice(k, p=weights)``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -21,11 +29,11 @@ from scipy.special import ndtr
 from .space import (
     Assignment,
     Categorical,
+    Condition,
     ConfigSpace,
     Continuous,
     IntRange,
     Value,
-    _condition_met,
     sample_prior,
 )
 
@@ -53,6 +61,10 @@ class TrialRecord:
 
     assignment: Assignment
     y: float
+    # (space, code row) of the last space the assignment was encoded under.
+    _codes: tuple[ConfigSpace, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -126,7 +138,7 @@ class ParzenCategorical:
     domain: Categorical
     weights: np.ndarray
     smoothing: float
-    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    _cdf: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -139,7 +151,7 @@ class ParzenCategorical:
             raise ValueError("weights must sum to 1")
         cdf = w.cumsum()
         cdf /= cdf[-1]
-        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_cdf", cdf.tolist())
 
     def prob(self, value: Value) -> float:
         idx = self.domain.index_of(value)
@@ -147,21 +159,35 @@ class ParzenCategorical:
             raise ValueError(f"value {value!r} outside domain")
         return float(self.weights[idx])
 
+    def sample_index(self, rng: np.random.Generator) -> int:
+        """Index of one draw, with the same value and generator steps as ``rng.choice(k, p=weights)``.
+
+        The last cdf entry is exactly 1, so the index stays below k;
+        ``bisect_right`` finds the index ``searchsorted(side="right")`` would.
+        """
+        return bisect_right(self._cdf, rng.random())
+
     def sample(self, rng: np.random.Generator) -> Value:
-        """One draw, taking the same value and generator steps as ``rng.choice(k, p=weights)``."""
-        return self.domain.choices[int(self._cdf.searchsorted(rng.random(), side="right"))]
+        return self.domain.choices[self.sample_index(rng)]
 
 
 def fit_categorical(
     observations: Sequence[Value], domain: Categorical, smoothing: float
 ) -> ParzenCategorical:
-    if smoothing <= 0.0:
-        raise ValueError(f"smoothing must be positive, got {smoothing}")
     indices = [domain.index_of(obs) for obs in observations]
     if None in indices:
         obs = observations[indices.index(None)]
         raise ValueError(f"observation {obs!r} outside domain {domain.choices}")
-    counts = np.bincount(np.array(indices, dtype=np.intp), minlength=len(domain.choices))
+    return _smoothed_counts(np.array(indices, dtype=np.intp), domain, smoothing)
+
+
+def _smoothed_counts(
+    indices: np.ndarray, domain: Categorical, smoothing: float
+) -> ParzenCategorical:
+    """The categorical with weight(c) proportional to smoothing + the count of c in ``indices``."""
+    if smoothing <= 0.0:
+        raise ValueError(f"smoothing must be positive, got {smoothing}")
+    counts = np.bincount(indices, minlength=len(domain.choices))
     weights = counts + smoothing
     weights /= weights.sum()
     return ParzenCategorical(domain, weights, smoothing)
@@ -232,7 +258,7 @@ def fit_continuous(observations: Sequence[float], domain: Continuous) -> ParzenC
     """
     lo, hi = domain.internal_bounds
     span = hi - lo
-    obs = np.sort(np.asarray([float(v) for v in observations], dtype=float))
+    obs = np.sort(np.asarray(observations, dtype=float))
     if obs.size:
         slack = 1e-9 * span
         if obs[0] < lo - slack or obs[-1] > hi + slack:
@@ -257,15 +283,7 @@ def fit_node_models(
     space: ConfigSpace, trials: Sequence[TrialRecord], smoothing: float
 ) -> dict[str, ParzenModel]:
     """Fit one density per node from the trials where that node was active."""
-    models: dict[str, ParzenModel] = {}
-    for node in space.nodes:
-        obs = [r.assignment[node.name] for r in trials if node.name in r.assignment]
-        if isinstance(node.domain, Continuous):
-            internal = [node.domain.to_internal(v) for v in obs]
-            models[node.name] = fit_continuous(internal, node.domain)
-        else:
-            models[node.name] = fit_categorical(obs, _symbols(node.domain), smoothing)
-    return models
+    return _fit(_Layout(space), trials, smoothing)
 
 
 def _symbols(domain: Categorical | IntRange) -> Categorical:
@@ -273,49 +291,170 @@ def _symbols(domain: Categorical | IntRange) -> Categorical:
     return domain.as_categorical if isinstance(domain, IntRange) else domain
 
 
+@dataclass(frozen=True)
+class _Node:
+    """One node of a space as code rows see it; its code sits at its position in the space."""
+
+    name: str
+    continuous: Continuous | None  # the domain of a continuous node
+    symbols: Categorical | None  # the choices a discrete node's code indexes
+    parent: int  # position of the condition's parent, -1 for a root
+    condition: Condition | None
+    # Parent codes that activate the node; None when the parent is continuous
+    # and its value is tested instead.
+    activators: frozenset[int] | None
+
+
+class _Layout:
+    """The nodes of a space in the form that encoding, drawing and scoring use."""
+
+    def __init__(self, space: ConfigSpace) -> None:
+        self.space = space
+        position = {node.name: j for j, node in enumerate(space.nodes)}
+        nodes = []
+        for node in space.nodes:
+            domain, cond = node.domain, node.condition
+            continuous = domain if isinstance(domain, Continuous) else None
+            symbols = None if continuous else _symbols(domain)  # type: ignore[arg-type]
+            parent, activators = -1, None
+            if cond is not None:
+                parent = position[cond.parent]
+                parent_domain = space.nodes[parent].domain
+                if not isinstance(parent_domain, Continuous):
+                    # Categorical keys its choices so that two keys match
+                    # exactly when value_equal holds: these are the choices
+                    # that satisfy the condition, with True and 1 kept apart.
+                    found = (_symbols(parent_domain).index_of(v) for v in cond.values)
+                    activators = frozenset(i for i in found if i is not None)
+            nodes.append(_Node(node.name, continuous, symbols, parent, cond, activators))
+        self.nodes = tuple(nodes)
+
+    def encode(self, assignment: Mapping[str, Value]) -> list[float]:
+        """The code row of an assignment, which must give every active node an in-domain value."""
+        codes = [math.nan] * len(self.nodes)
+        for j, node in enumerate(self.nodes):
+            if not _active(node, codes, assignment):
+                continue
+            if node.name not in assignment:
+                raise ValueError(f"missing value for active node '{node.name}'")
+            value = assignment[node.name]
+            if node.continuous:
+                inside = node.continuous.contains(value)
+                code = node.continuous.to_internal(value) if inside else None  # type: ignore[arg-type]
+            else:
+                code = node.symbols.index_of(value)  # type: ignore[union-attr]
+            if code is None:
+                raise ValueError(f"value {value!r} of node '{node.name}' outside domain")
+            codes[j] = code
+        return codes
+
+    def stack(self, rows: Sequence[Sequence[float]]) -> np.ndarray:
+        """Code rows as the rows of one matrix."""
+        return np.array(rows, dtype=float).reshape(len(rows), len(self.nodes))
+
+    def trial_codes(self, trials: Sequence[TrialRecord]) -> np.ndarray:
+        """Code rows of trials, encoding a trial only when its row is for another space."""
+        rows = []
+        for record in trials:
+            memo = record._codes
+            if memo is None or memo[0] is not self.space:
+                memo = (self.space, np.array(self.encode(record.assignment)))
+                object.__setattr__(record, "_codes", memo)
+            rows.append(memo[1])
+        return self.stack(rows)
+
+
+def _active(node: _Node, codes: Sequence[float], values: Mapping[str, Value]) -> bool:
+    """Whether ``node`` is active, given the codes and values of the nodes before it.
+
+    A root is active in every row, a child where its parent is active and
+    takes one of its activating values (the rule of ``active_nodes``).
+    """
+    if node.parent < 0:
+        return True
+    code = codes[node.parent]
+    if math.isnan(code):
+        return False
+    if node.activators is None:
+        return node.condition.satisfied_by(values[node.condition.parent])  # type: ignore[union-attr]
+    return code in node.activators
+
+
+def _fit(
+    layout: _Layout, trials: Sequence[TrialRecord], smoothing: float
+) -> dict[str, ParzenModel]:
+    """One density per node from the active entries of its column of the trials' code rows."""
+    models: dict[str, ParzenModel] = {}
+    for node, column in zip(layout.nodes, layout.trial_codes(trials).T):
+        column = column[~np.isnan(column)]
+        if node.continuous:
+            models[node.name] = fit_continuous(column, node.continuous)
+        else:
+            indices = column.astype(np.intp)
+            models[node.name] = _smoothed_counts(indices, node.symbols, smoothing)  # type: ignore[arg-type]
+    return models
+
+
+def _draw(
+    layout: _Layout, models: NodeModels, rng: np.random.Generator
+) -> tuple[Assignment, list[float]]:
+    """One assignment drawn root to leaf from ``models``, with its code row."""
+    assignment: Assignment = {}
+    codes = [math.nan] * len(layout.nodes)
+    for j, node in enumerate(layout.nodes):
+        if not _active(node, codes, assignment):
+            continue
+        model = models[node.name]
+        if node.continuous:
+            value: Value = node.continuous.from_internal(model.sample(rng))  # type: ignore[arg-type]
+            # The code of the value as assigned, which encoding it would give,
+            # not the draw that from_internal rounded and clipped.
+            codes[j] = node.continuous.to_internal(value)
+        else:
+            i = model.sample_index(rng)  # type: ignore[union-attr]
+            value = node.symbols.choices[i]  # type: ignore[union-attr]
+            codes[j] = i
+        assignment[node.name] = value
+    return assignment, codes
+
+
+def _densities(
+    layout: _Layout, populations: Sequence[NodeModels], codes: np.ndarray
+) -> np.ndarray:
+    """Path density of every code row under each population's models.
+
+    Each population's densities for a node are evaluated for all rows where
+    it is active at once and multiplied in, so every row's factors are
+    multiplied in node order.
+    """
+    density = np.ones((len(populations), len(codes)))
+    for node, column in zip(layout.nodes, codes.T):
+        rows = np.flatnonzero(~np.isnan(column))
+        if rows.size == 0:
+            continue
+        x = column[rows] if node.continuous else column[rows].astype(np.intp)
+        for row, models in zip(density, populations):
+            model = models.get(node.name)
+            if model is None:
+                raise ValueError(f"missing model for active node '{node.name}'")
+            if node.continuous:
+                row[rows] *= model.pdf(x)  # type: ignore[union-attr]
+            else:
+                row[rows] *= model.weights[x]  # type: ignore[union-attr]
+    return density
+
+
 def path_densities(
     space: ConfigSpace, populations: Sequence[NodeModels], candidates: Sequence[Assignment]
 ) -> np.ndarray:
     """Path density of every candidate under each population's models.
 
-    Returns an array of shape (len(populations), len(candidates)).  Nodes are
-    visited once each, in space order: a root is active in every candidate, a
-    child where its parent is active and takes one of its activating values
-    (the rule of ``active_nodes``).  Each population's densities for a node
-    are evaluated for all candidates where it is active at once and multiplied
-    in, so every candidate's factors are multiplied in node order.
+    Returns an array of shape (len(populations), len(candidates)).  Only
+    active nodes contribute a factor, continuous ones in estimation
+    coordinates.
     """
-    density = np.ones((len(populations), len(candidates)))
-    rows_of: dict[str, list[int]] = {}
-    for node in space.nodes:
-        cond = node.condition
-        if cond is None:
-            rows = list(range(len(candidates)))
-        else:
-            parent_rows = rows_of.get(cond.parent, ())
-            rows = [i for i in parent_rows if cond.satisfied_by(candidates[i][cond.parent])]
-        rows_of[node.name] = rows
-        if not rows:
-            continue
-        values = [candidates[i][node.name] for i in rows]
-        domain = node.domain
-        if isinstance(domain, Continuous):
-            coords = np.array([domain.to_internal(v) for v in values])  # type: ignore[arg-type]
-        else:
-            indices = [_symbols(domain).index_of(v) for v in values]
-            if None in indices:
-                bad = values[indices.index(None)]
-                raise ValueError(f"value {bad!r} of node '{node.name}' outside domain")
-            coords = np.array(indices, dtype=np.intp)
-        for row, models in zip(density, populations):
-            model = models.get(node.name)
-            if model is None:
-                raise ValueError(f"missing model for active node '{node.name}'")
-            if isinstance(domain, Continuous):
-                row[rows] *= model.pdf(coords)  # type: ignore[union-attr]
-            else:
-                row[rows] *= model.weights[coords]  # type: ignore[union-attr]
-    return density
+    layout = _Layout(space)
+    return _densities(layout, populations, layout.stack([layout.encode(c) for c in candidates]))
 
 
 def path_density(space: ConfigSpace, models: NodeModels, assignment: Assignment) -> float:
@@ -350,16 +489,7 @@ def sample_candidate(
     space: ConfigSpace, above_models: NodeModels, rng: np.random.Generator
 ) -> Assignment:
     """Draw one assignment from the above-population densities, root to leaf."""
-    assignment: Assignment = {}
-    for node in space.nodes:
-        if not _condition_met(node.condition, assignment):
-            continue
-        model = above_models[node.name]
-        if isinstance(node.domain, Continuous):
-            assignment[node.name] = node.domain.from_internal(model.sample(rng))  # type: ignore[union-attr]
-        else:
-            assignment[node.name] = model.sample(rng)  # type: ignore[union-attr]
-    return assignment
+    return _draw(_Layout(space), above_models, rng)[0]
 
 
 def suggest(
@@ -384,15 +514,18 @@ def suggest(
     usable = [r for r in history if math.isfinite(r.y)]
     if len(usable) < params.n_startup or not usable:
         return sample_prior(space, rng)
+    layout = _Layout(space)
     split = split_history(usable, params.gamma)
-    below_models = fit_node_models(space, split.below, params.smoothing)
-    above_models = fit_node_models(space, split.above, params.smoothing)
+    below_models = _fit(layout, split.below, params.smoothing)
+    above_models = _fit(layout, split.above, params.smoothing)
     if candidates is None:
-        candidates = [
-            sample_candidate(space, above_models, rng) for _ in range(params.n_candidates)
-        ]
+        drawn = [_draw(layout, above_models, rng) for _ in range(params.n_candidates)]
+        candidates = [assignment for assignment, _ in drawn]
+        codes = layout.stack([row for _, row in drawn])
+    else:
+        codes = layout.stack([layout.encode(c) for c in candidates])
     try:
-        p_below, p_above = path_densities(space, (below_models, above_models), candidates)
+        p_below, p_above = _densities(layout, (below_models, above_models), codes)
         scores = ei_score(p_below, p_above, params.gamma)
     except DegenerateDensityError:
         log.warning("degenerate above-split density; substituting a prior sample")

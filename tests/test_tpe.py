@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,10 +22,12 @@ from textopt.space import (
     sample_prior,
     text_rep_space,
     validate_assignment,
+    value_equal,
 )
 from textopt.tpe import (
     MAX_REJECTION_DRAWS,
     DegenerateDensityError,
+    ParzenCategorical,
     ParzenContinuous,
     TpeParams,
     TrialRecord,
@@ -37,6 +40,8 @@ from textopt.tpe import (
     sample_candidate,
     split_history,
     suggest,
+    _draw,
+    _Layout,
 )
 
 WEIGHT_DOMAIN = Categorical(("tf", "tf-idf", "binary"))
@@ -510,6 +515,23 @@ def scalar_score(p_below, p_above, gamma):
     return 1.0 / (gamma + (p_below / p_above) * (1.0 - gamma))
 
 
+def scalar_fit(space, trials, smoothing):
+    """Reference fit from the trials' values: each choice's count is a scan for equal values."""
+    models = {}
+    for node in space.nodes:
+        obs = [r.assignment[node.name] for r in trials if node.name in r.assignment]
+        if isinstance(node.domain, Continuous):
+            internal = [node.domain.to_internal(v) for v in obs]
+            models[node.name] = fit_continuous(internal, node.domain)
+        else:
+            choices = node.domain.choices
+            counts = np.array([sum(value_equal(o, c) for o in obs) for c in choices], dtype=float)
+            weights = counts + smoothing
+            weights /= weights.sum()
+            models[node.name] = ParzenCategorical(Categorical(choices), weights, smoothing)
+    return models
+
+
 def scalar_suggest(space, history, params, rng):
     """Reference suggest: candidates scored one at a time, strict '>' argmax.
 
@@ -519,8 +541,8 @@ def scalar_suggest(space, history, params, rng):
     if len(usable) < params.n_startup or not usable:
         return sample_prior(space, rng)
     split = split_history(usable, params.gamma)
-    below = fit_node_models(space, split.below, params.smoothing)
-    above = fit_node_models(space, split.above, params.smoothing)
+    below = scalar_fit(space, split.below, params.smoothing)
+    above = scalar_fit(space, split.above, params.smoothing)
     candidates = []
     for _ in range(params.n_candidates):
         cand = {}
@@ -570,6 +592,8 @@ def cheap_objective(assignment):
         return 0.1 * cell - 0.01 * (math.log10(a["strength"]) - 1.0) ** 2 - 0.02 * (
             math.log10(a["tolerance"]) + 4.0
         ) ** 2
+    if "t" in a:
+        return 0.3 * (a.get("c") == "b") + 0.1 * a.get("k", 0) - abs(a["x"] - 0.7)
     return (
         -abs(a["x"] - 1.0)
         + 0.1 * a["k"]
@@ -579,7 +603,29 @@ def cheap_objective(assignment):
     )
 
 
-SPACES = {"text_rep": text_rep_space, "mixed": mixed_space}
+def continuous_parent_space() -> ConfigSpace:
+    """Conditions on continuous parents.
+
+    ``t``'s domain holds just two floats, so draws both meet and miss its
+    activating value; ``v``'s parent ranges over a whole interval and
+    practically never takes the activating value.
+    """
+    return define_space(
+        [
+            ParamNode("t", Continuous(1.0, math.nextafter(1.0, 2.0))),
+            ParamNode("c", Categorical(("a", "b", "c")), Condition("t", (1.0,))),
+            ParamNode("k", IntRange(0, 2), Condition("c", ("a", "b"))),
+            ParamNode("x", Continuous(0.0, 1.0)),
+            ParamNode("v", Continuous(-1.0, 1.0), Condition("x", (0.5,))),
+        ]
+    )
+
+
+SPACES = {
+    "text_rep": text_rep_space,
+    "mixed": mixed_space,
+    "continuous_parent": continuous_parent_space,
+}
 
 
 class TestBatchScoring:
@@ -595,6 +641,14 @@ class TestBatchScoring:
             split = split_history(history, 0.85)
             below = fit_node_models(space, split.below, 1.0)
             above = fit_node_models(space, split.above, 1.0)
+            for models, trials in ((below, split.below), (above, split.above)):
+                reference = scalar_fit(space, trials, 1.0)
+                for name, model in models.items():
+                    if isinstance(model, ParzenContinuous):
+                        assert model.centers.tolist() == reference[name].centers.tolist()
+                        assert model.widths.tolist() == reference[name].widths.tolist()
+                    else:
+                        assert model.weights.tolist() == reference[name].weights.tolist()
             candidates = [sample_candidate(space, above, rng) for _ in range(64)]
             batch = ei_score(*path_densities(space, [below, above], candidates), 0.85).tolist()
             one_at_a_time = [
@@ -630,6 +684,66 @@ class TestBatchScoring:
         assert [(r.assignment, r.y) for r in batch.history] == [
             (r.assignment, r.y) for r in reference.history
         ]
+        if space_name == "continuous_parent":
+            # The continuous-parent condition both holds and fails in the run.
+            assert 0 < sum("c" in r.assignment for r in batch.history) < 60
+
+    @pytest.mark.parametrize("space_name", sorted(SPACES))
+    def test_drawn_rows_equal_encoded_draws(self, space_name):
+        # Drawn candidates are scored on the rows emitted while drawing, which
+        # must be, bit for bit, the rows their assignments encode to.
+        space = SPACES[space_name]()
+        rng = np.random.default_rng(13)
+        history = [TrialRecord(sample_prior(space, rng), float(rng.random())) for _ in range(30)]
+        models = fit_node_models(space, history, smoothing=1.0)
+        layout = _Layout(space)
+        for _ in range(200):
+            assignment, row = _draw(layout, models, rng)
+            np.testing.assert_array_equal(row, layout.encode(assignment))
+
+    @pytest.mark.parametrize(
+        "space_name, candidate, node",
+        [
+            ("mixed", {"k": 2, "flag": False, "x": 7.0, "z": 1}, "x"),
+            ("mixed", {"k": 2, "flag": False, "x": 0.0, "z": 4}, "z"),
+            ("mixed", {"k": 2, "flag": "yes", "x": 0.0, "z": 1}, "flag"),
+            ("text_rep", {"n_min": 1, "n_span|n_min=1": 3}, "n_span|n_min=1"),
+        ],
+    )
+    def test_out_of_domain_candidate_names_node(self, space_name, candidate, node):
+        space = SPACES[space_name]()
+        rng = np.random.default_rng(5)
+        history = [TrialRecord(sample_prior(space, rng), float(rng.random())) for _ in range(20)]
+        with pytest.raises(ValueError, match=f"of node '{re.escape(node)}' outside domain"):
+            candidates = [sample_prior(space, rng), candidate]
+            suggest(space, history, TpeParams(), rng, candidates=candidates)
+
+    def test_record_encoded_under_each_space(self, monkeypatch):
+        record = TrialRecord({"a": "y", "b": 2}, 0.5)
+        first = define_space(
+            [ParamNode("a", Categorical(("x", "y"))), ParamNode("b", IntRange(1, 3))]
+        )
+        second = define_space(
+            [ParamNode("b", IntRange(2, 4)), ParamNode("a", Categorical(("z", "y", "x")))]
+        )
+        for space in (first, second, first):
+            models = fit_node_models(space, [record], smoothing=1.0)
+            for node in space.nodes:
+                domain = node.domain
+                if isinstance(domain, IntRange):
+                    domain = domain.as_categorical
+                expected = fit_categorical([record.assignment[node.name]], domain, 1.0)
+                assert models[node.name].weights.tolist() == expected.weights.tolist()
+        # A trial is encoded once per space it is fitted under in turn.
+        calls = []
+        original = Categorical.index_of
+        monkeypatch.setattr(
+            Categorical, "index_of", lambda self, v: calls.append(v) or original(self, v)
+        )
+        fit_node_models(first, [record], smoothing=1.0)
+        assert calls == []
+        fit_node_models(second, [record], smoothing=1.0)
+        assert sorted(calls, key=str) == [2, "y"]
 
     def test_pdf_calls_per_suggest_do_not_grow_with_candidates(self, monkeypatch):
         space = text_rep_space()

@@ -1,9 +1,16 @@
 """Tree-structured hyperparameter spaces with conditional activation.
 
 A space is a forest of named parameter nodes.  Each node carries a value
-domain and, optionally, a condition naming a parent node together with the
-parent values that activate it.  An assignment maps the names of exactly
-the active nodes to in-domain values.
+domain and, optionally, a condition naming a discrete parent node together
+with the parent values that activate it.  An assignment maps the names of
+exactly the active nodes to in-domain values.
+
+The space owns activation and encoding.  A domain gives each in-domain
+value a code: its symbol index, or for a continuous domain its estimation
+coordinate.  An assignment's code row holds one code per node in space
+order, NaN where the node is inactive, and a child is active where its
+parent's code is one of its activating codes.  Sampling, validation,
+enumeration and the surrogate all walk the space by this one rule.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -55,14 +62,15 @@ class Categorical:
                 raise SpaceError(f"duplicate categorical choice {c!r}")
         object.__setattr__(self, "_index", index)
 
-    def index_of(self, value: Value) -> int | None:
+    def code(self, value: Value) -> int | None:
+        """The symbol index of ``value``, None outside the domain."""
         try:
             return self._index.get((isinstance(value, bool), value))
         except TypeError:  # an unhashable value is no choice
             return None
 
     def contains(self, value: Value) -> bool:
-        return self.index_of(value) is not None
+        return self.code(value) is not None
 
     def sample(self, rng: np.random.Generator) -> Value:
         return self.choices[int(rng.integers(len(self.choices)))]
@@ -96,6 +104,10 @@ class IntRange:
             and not isinstance(value, bool)
             and self.lo <= value <= self.hi
         )
+
+    def code(self, value: Value) -> int | None:
+        """The symbol index of ``value`` among the range's integers, None outside the domain."""
+        return value - self.lo if self.contains(value) else None  # type: ignore[operator]
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.lo, self.hi + 1))
@@ -143,6 +155,10 @@ class Continuous:
             and self.lo <= value <= self.hi
         )
 
+    def code(self, value: Value) -> float | None:
+        """The estimation coordinate of ``value``, None outside the domain."""
+        return self.to_internal(value) if self.contains(value) else None  # type: ignore[arg-type]
+
     def sample(self, rng: np.random.Generator) -> float:
         lo, hi = self.internal_bounds
         return self.from_internal(float(rng.uniform(lo, hi)))
@@ -162,9 +178,6 @@ class Condition:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise SpaceError(f"condition on {self.parent!r} has no activating values")
-
-    def satisfied_by(self, parent_value: Value) -> bool:
-        return any(value_equal(parent_value, v) for v in self.values)
 
 
 @dataclass(frozen=True)
@@ -189,6 +202,41 @@ class ConfigSpace:
             if n.name == name:
                 return n
         raise SpaceError(f"no node named {name!r}")
+
+    @cached_property
+    def _links(self) -> tuple[tuple[int, frozenset[int]] | None, ...]:
+        """Per node: None for a root, else its parent's position and activating parent codes."""
+        position = {node.name: j for j, node in enumerate(self.nodes)}
+        links: list[tuple[int, frozenset[int]] | None] = []
+        for node in self.nodes:
+            cond = node.condition
+            if cond is None:
+                links.append(None)
+                continue
+            parent = position[cond.parent]
+            domain = self.nodes[parent].domain
+            links.append((parent, frozenset(domain.code(v) for v in cond.values)))  # type: ignore[arg-type]
+        return tuple(links)
+
+    def active(self, j: int, codes: Sequence[float]) -> bool:
+        """Whether node ``j`` is active, given the codes of the nodes before it."""
+        link = self._links[j]
+        return link is None or codes[link[0]] in link[1]
+
+    def encode(self, assignment: Mapping[str, Value]) -> list[float]:
+        """The code row of an assignment, which must give every active node an in-domain value."""
+        codes = [math.nan] * len(self.nodes)
+        for j, node in enumerate(self.nodes):
+            if not self.active(j, codes):
+                continue
+            if node.name not in assignment:
+                raise ValueError(f"missing value for active node '{node.name}'")
+            value = assignment[node.name]
+            code = node.domain.code(value)
+            if code is None:
+                raise ValueError(f"value {value!r} of node '{node.name}' outside domain")
+            codes[j] = code
+        return codes
 
 
 def _node_from_mapping(item: Mapping[str, Any]) -> ParamNode:
@@ -224,8 +272,8 @@ def define_space(spec: Iterable[Mapping[str, Any] | ParamNode]) -> ConfigSpace:
 
     Nodes are reordered into a stable topological order of the condition
     forest.  Raises SpaceError naming the offending node on duplicate names,
-    cycles, missing parents, invalid bounds, or activating values outside
-    the parent domain.
+    cycles, missing or continuous parents, invalid bounds, or activating
+    values outside the parent domain.
     """
     nodes = [n if isinstance(n, ParamNode) else _node_from_mapping(n) for n in spec]
     by_name: dict[str, ParamNode] = {}
@@ -240,6 +288,10 @@ def define_space(spec: Iterable[Mapping[str, Any] | ParamNode]) -> ConfigSpace:
         if parent is None:
             raise SpaceError(
                 f"node '{node.name}': condition on missing parent '{node.condition.parent}'"
+            )
+        if isinstance(parent.domain, Continuous):
+            raise SpaceError(
+                f"node '{node.name}': condition on continuous parent '{parent.name}'"
             )
         for v in node.condition.values:
             if not parent.domain.contains(v):
@@ -290,34 +342,29 @@ def text_rep_space() -> ConfigSpace:
     )
 
 
-def _condition_met(condition: Condition | None, values: Mapping[str, Value]) -> bool:
-    if condition is None:
-        return True
-    return condition.parent in values and condition.satisfied_by(values[condition.parent])
-
-
 def sample_prior(space: ConfigSpace, rng: np.random.Generator) -> Assignment:
     """Draw each active node uniformly (in estimation coordinates for continuous)."""
     assignment: Assignment = {}
-    for node in space.nodes:
-        if _condition_met(node.condition, assignment):
-            assignment[node.name] = node.domain.sample(rng)
+    codes = [math.nan] * len(space.nodes)
+    for j, node in enumerate(space.nodes):
+        if space.active(j, codes):
+            value = assignment[node.name] = node.domain.sample(rng)
+            codes[j] = node.domain.code(value)  # type: ignore[assignment]
     return assignment
 
 
 def active_nodes(space: ConfigSpace, assignment: Mapping[str, Value]) -> list[ParamNode]:
-    """The relevant slice of the forest: roots plus transitively activated children."""
+    """The relevant slice of the forest: roots plus transitively activated children.
+
+    Only an in-domain value of an active node activates its children.
+    """
     active: list[ParamNode] = []
-    names: set[str] = set()
-    for node in space.nodes:
-        cond = node.condition
-        if cond is None or (
-            cond.parent in names
-            and cond.parent in assignment
-            and cond.satisfied_by(assignment[cond.parent])
-        ):
+    codes = [math.nan] * len(space.nodes)
+    for j, node in enumerate(space.nodes):
+        if space.active(j, codes):
             active.append(node)
-            names.add(node.name)
+            code = node.domain.code(assignment[node.name]) if node.name in assignment else None
+            codes[j] = math.nan if code is None else code
     return active
 
 
@@ -348,19 +395,22 @@ def enumerate_assignments(space: ConfigSpace) -> list[Assignment]:
         if isinstance(node.domain, Continuous):
             raise SpaceError(f"cannot enumerate continuous node '{node.name}'")
     out: list[Assignment] = []
+    codes = [math.nan] * len(space.nodes)
 
     def rec(i: int, acc: Assignment) -> None:
         if i == len(space.nodes):
             out.append(dict(acc))
             return
         node = space.nodes[i]
-        if not _condition_met(node.condition, acc):
+        if not space.active(i, codes):
             rec(i + 1, acc)
             return
         for v in node.domain.choices:  # type: ignore[union-attr]
             acc[node.name] = v
+            codes[i] = node.domain.code(v)  # type: ignore[assignment]
             rec(i + 1, acc)
             del acc[node.name]
+        codes[i] = math.nan
 
     rec(0, {})
     return out

@@ -5,14 +5,13 @@ fitted separately to the below and above populations (reweighted categorical
 for discrete nodes, truncated Gaussian mixtures for continuous ones), and the
 next candidate maximizes a score inversely proportional to the density ratio.
 
-Fitting, drawing and scoring all run on code rows: one float per node of the
-space, in space order, holding the symbol index of a discrete node's value,
-the estimation coordinate of a continuous node's value, and NaN where the
-node is inactive.  A trial is encoded once and keeps its row for the space it
-was encoded under; drawn candidates emit their rows as they are drawn, and
-explicit candidates go through the same encoder.  Candidates are scored
-together, one node at a time; discrete draws take the same generator steps
-as ``Generator.choice(k, p=weights)``.
+Fitting, drawing and scoring all run on the space's code rows (see
+``space.ConfigSpace.encode``).  A trial is encoded once and keeps its row for
+the space it was encoded under; drawn candidates follow the space's
+activation rule and emit their rows as they are drawn, and explicit
+candidates go through the space's encoder.  Candidates are scored together,
+one node at a time; discrete draws take the same generator steps as
+``Generator.choice(k, p=weights)``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from scipy.special import ndtr
 from .space import (
     Assignment,
     Categorical,
-    Condition,
     ConfigSpace,
     Continuous,
     IntRange,
@@ -154,7 +152,7 @@ class ParzenCategorical:
         object.__setattr__(self, "_cdf", cdf.tolist())
 
     def prob(self, value: Value) -> float:
-        idx = self.domain.index_of(value)
+        idx = self.domain.code(value)
         if idx is None:
             raise ValueError(f"value {value!r} outside domain")
         return float(self.weights[idx])
@@ -174,7 +172,7 @@ class ParzenCategorical:
 def fit_categorical(
     observations: Sequence[Value], domain: Categorical, smoothing: float
 ) -> ParzenCategorical:
-    indices = [domain.index_of(obs) for obs in observations]
+    indices = [domain.code(obs) for obs in observations]
     if None in indices:
         obs = observations[indices.index(None)]
         raise ValueError(f"observation {obs!r} outside domain {domain.choices}")
@@ -279,147 +277,69 @@ ParzenModel = ParzenCategorical | ParzenContinuous
 NodeModels = Mapping[str, ParzenModel]
 
 
-def fit_node_models(
-    space: ConfigSpace, trials: Sequence[TrialRecord], smoothing: float
-) -> dict[str, ParzenModel]:
-    """Fit one density per node from the trials where that node was active."""
-    return _fit(_Layout(space), trials, smoothing)
-
-
 def _symbols(domain: Categorical | IntRange) -> Categorical:
     """The domain whose choice indices discrete densities are fitted over."""
     return domain.as_categorical if isinstance(domain, IntRange) else domain
 
 
-@dataclass(frozen=True)
-class _Node:
-    """One node of a space as code rows see it; its code sits at its position in the space."""
-
-    name: str
-    continuous: Continuous | None  # the domain of a continuous node
-    symbols: Categorical | None  # the choices a discrete node's code indexes
-    parent: int  # position of the condition's parent, -1 for a root
-    condition: Condition | None
-    # Parent codes that activate the node; None when the parent is continuous
-    # and its value is tested instead.
-    activators: frozenset[int] | None
+def _stack(space: ConfigSpace, rows: Sequence[Sequence[float]]) -> np.ndarray:
+    """Code rows as the rows of one matrix."""
+    return np.array(rows, dtype=float).reshape(len(rows), len(space.nodes))
 
 
-class _Layout:
-    """The nodes of a space in the form that encoding, drawing and scoring use."""
-
-    def __init__(self, space: ConfigSpace) -> None:
-        self.space = space
-        position = {node.name: j for j, node in enumerate(space.nodes)}
-        nodes = []
-        for node in space.nodes:
-            domain, cond = node.domain, node.condition
-            continuous = domain if isinstance(domain, Continuous) else None
-            symbols = None if continuous else _symbols(domain)  # type: ignore[arg-type]
-            parent, activators = -1, None
-            if cond is not None:
-                parent = position[cond.parent]
-                parent_domain = space.nodes[parent].domain
-                if not isinstance(parent_domain, Continuous):
-                    # Categorical keys its choices so that two keys match
-                    # exactly when value_equal holds: these are the choices
-                    # that satisfy the condition, with True and 1 kept apart.
-                    found = (_symbols(parent_domain).index_of(v) for v in cond.values)
-                    activators = frozenset(i for i in found if i is not None)
-            nodes.append(_Node(node.name, continuous, symbols, parent, cond, activators))
-        self.nodes = tuple(nodes)
-
-    def encode(self, assignment: Mapping[str, Value]) -> list[float]:
-        """The code row of an assignment, which must give every active node an in-domain value."""
-        codes = [math.nan] * len(self.nodes)
-        for j, node in enumerate(self.nodes):
-            if not _active(node, codes, assignment):
-                continue
-            if node.name not in assignment:
-                raise ValueError(f"missing value for active node '{node.name}'")
-            value = assignment[node.name]
-            if node.continuous:
-                inside = node.continuous.contains(value)
-                code = node.continuous.to_internal(value) if inside else None  # type: ignore[arg-type]
-            else:
-                code = node.symbols.index_of(value)  # type: ignore[union-attr]
-            if code is None:
-                raise ValueError(f"value {value!r} of node '{node.name}' outside domain")
-            codes[j] = code
-        return codes
-
-    def stack(self, rows: Sequence[Sequence[float]]) -> np.ndarray:
-        """Code rows as the rows of one matrix."""
-        return np.array(rows, dtype=float).reshape(len(rows), len(self.nodes))
-
-    def trial_codes(self, trials: Sequence[TrialRecord]) -> np.ndarray:
-        """Code rows of trials, encoding a trial only when its row is for another space."""
-        rows = []
-        for record in trials:
-            memo = record._codes
-            if memo is None or memo[0] is not self.space:
-                memo = (self.space, np.array(self.encode(record.assignment)))
-                object.__setattr__(record, "_codes", memo)
-            rows.append(memo[1])
-        return self.stack(rows)
+def _trial_codes(space: ConfigSpace, trials: Sequence[TrialRecord]) -> np.ndarray:
+    """Code rows of trials, encoding a trial only when its row is for another space."""
+    rows = []
+    for record in trials:
+        memo = record._codes
+        if memo is None or memo[0] is not space:
+            memo = (space, np.array(space.encode(record.assignment)))
+            object.__setattr__(record, "_codes", memo)
+        rows.append(memo[1])
+    return _stack(space, rows)
 
 
-def _active(node: _Node, codes: Sequence[float], values: Mapping[str, Value]) -> bool:
-    """Whether ``node`` is active, given the codes and values of the nodes before it.
-
-    A root is active in every row, a child where its parent is active and
-    takes one of its activating values (the rule of ``active_nodes``).
-    """
-    if node.parent < 0:
-        return True
-    code = codes[node.parent]
-    if math.isnan(code):
-        return False
-    if node.activators is None:
-        return node.condition.satisfied_by(values[node.condition.parent])  # type: ignore[union-attr]
-    return code in node.activators
-
-
-def _fit(
-    layout: _Layout, trials: Sequence[TrialRecord], smoothing: float
+def fit_node_models(
+    space: ConfigSpace, trials: Sequence[TrialRecord], smoothing: float
 ) -> dict[str, ParzenModel]:
     """One density per node from the active entries of its column of the trials' code rows."""
     models: dict[str, ParzenModel] = {}
-    for node, column in zip(layout.nodes, layout.trial_codes(trials).T):
+    for node, column in zip(space.nodes, _trial_codes(space, trials).T):
         column = column[~np.isnan(column)]
-        if node.continuous:
-            models[node.name] = fit_continuous(column, node.continuous)
+        if isinstance(node.domain, Continuous):
+            models[node.name] = fit_continuous(column, node.domain)
         else:
             indices = column.astype(np.intp)
-            models[node.name] = _smoothed_counts(indices, node.symbols, smoothing)  # type: ignore[arg-type]
+            models[node.name] = _smoothed_counts(indices, _symbols(node.domain), smoothing)
     return models
 
 
 def _draw(
-    layout: _Layout, models: NodeModels, rng: np.random.Generator
+    space: ConfigSpace, models: NodeModels, rng: np.random.Generator
 ) -> tuple[Assignment, list[float]]:
     """One assignment drawn root to leaf from ``models``, with its code row."""
     assignment: Assignment = {}
-    codes = [math.nan] * len(layout.nodes)
-    for j, node in enumerate(layout.nodes):
-        if not _active(node, codes, assignment):
+    codes = [math.nan] * len(space.nodes)
+    for j, node in enumerate(space.nodes):
+        if not space.active(j, codes):
             continue
         model = models[node.name]
-        if node.continuous:
-            value: Value = node.continuous.from_internal(model.sample(rng))  # type: ignore[arg-type]
+        domain = node.domain
+        if isinstance(domain, Continuous):
+            value: Value = domain.from_internal(model.sample(rng))  # type: ignore[arg-type]
             # The code of the value as assigned, which encoding it would give,
             # not the draw that from_internal rounded and clipped.
-            codes[j] = node.continuous.to_internal(value)
+            codes[j] = domain.to_internal(value)
         else:
             i = model.sample_index(rng)  # type: ignore[union-attr]
-            value = node.symbols.choices[i]  # type: ignore[union-attr]
+            value = _symbols(domain).choices[i]
             codes[j] = i
         assignment[node.name] = value
     return assignment, codes
 
 
 def _densities(
-    layout: _Layout, populations: Sequence[NodeModels], codes: np.ndarray
+    space: ConfigSpace, populations: Sequence[NodeModels], codes: np.ndarray
 ) -> np.ndarray:
     """Path density of every code row under each population's models.
 
@@ -428,16 +348,17 @@ def _densities(
     multiplied in node order.
     """
     density = np.ones((len(populations), len(codes)))
-    for node, column in zip(layout.nodes, codes.T):
+    for node, column in zip(space.nodes, codes.T):
         rows = np.flatnonzero(~np.isnan(column))
         if rows.size == 0:
             continue
-        x = column[rows] if node.continuous else column[rows].astype(np.intp)
+        continuous = isinstance(node.domain, Continuous)
+        x = column[rows] if continuous else column[rows].astype(np.intp)
         for row, models in zip(density, populations):
             model = models.get(node.name)
             if model is None:
                 raise ValueError(f"missing model for active node '{node.name}'")
-            if node.continuous:
+            if continuous:
                 row[rows] *= model.pdf(x)  # type: ignore[union-attr]
             else:
                 row[rows] *= model.weights[x]  # type: ignore[union-attr]
@@ -453,8 +374,7 @@ def path_densities(
     active nodes contribute a factor, continuous ones in estimation
     coordinates.
     """
-    layout = _Layout(space)
-    return _densities(layout, populations, layout.stack([layout.encode(c) for c in candidates]))
+    return _densities(space, populations, _stack(space, [space.encode(c) for c in candidates]))
 
 
 def path_density(space: ConfigSpace, models: NodeModels, assignment: Assignment) -> float:
@@ -489,7 +409,7 @@ def sample_candidate(
     space: ConfigSpace, above_models: NodeModels, rng: np.random.Generator
 ) -> Assignment:
     """Draw one assignment from the above-population densities, root to leaf."""
-    return _draw(_Layout(space), above_models, rng)[0]
+    return _draw(space, above_models, rng)[0]
 
 
 def suggest(
@@ -514,18 +434,17 @@ def suggest(
     usable = [r for r in history if math.isfinite(r.y)]
     if len(usable) < params.n_startup or not usable:
         return sample_prior(space, rng)
-    layout = _Layout(space)
     split = split_history(usable, params.gamma)
-    below_models = _fit(layout, split.below, params.smoothing)
-    above_models = _fit(layout, split.above, params.smoothing)
+    below_models = fit_node_models(space, split.below, params.smoothing)
+    above_models = fit_node_models(space, split.above, params.smoothing)
     if candidates is None:
-        drawn = [_draw(layout, above_models, rng) for _ in range(params.n_candidates)]
+        drawn = [_draw(space, above_models, rng) for _ in range(params.n_candidates)]
         candidates = [assignment for assignment, _ in drawn]
-        codes = layout.stack([row for _, row in drawn])
+        codes = _stack(space, [row for _, row in drawn])
     else:
-        codes = layout.stack([layout.encode(c) for c in candidates])
+        codes = _stack(space, [space.encode(c) for c in candidates])
     try:
-        p_below, p_above = _densities(layout, (below_models, above_models), codes)
+        p_below, p_above = _densities(space, (below_models, above_models), codes)
         scores = ei_score(p_below, p_above, params.gamma)
     except DegenerateDensityError:
         log.warning("degenerate above-split density; substituting a prior sample")

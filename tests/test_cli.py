@@ -111,6 +111,19 @@ class TestOptimize:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_condition_on_continuous_parent_rejected(self, corpus_files, tmp_path, capsys):
+        space = textopt.serialize_space(textopt.text_rep_space())
+        for item in space:
+            if item["name"] == "remove_stopwords":
+                item["condition"] = {"parent": "strength", "values": [1.0]}
+        path = tmp_path / "continuous_parent.space"
+        path.write_text(yaml.safe_dump(space))
+        code = main(optimize_args(corpus_files, tmp_path / "out", extra=["--space", str(path)]))
+        assert code == 2
+        assert "node 'remove_stopwords': condition on continuous parent 'strength'" in (
+            capsys.readouterr().err
+        )
+
     def test_dev_fraction_split(self, corpus_files, tmp_path):
         out = tmp_path / "fraction"
         args = [

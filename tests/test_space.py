@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import yaml
 
 from textopt.space import (
     Categorical,
@@ -110,6 +111,23 @@ class TestDefineSpace:
                 ]
             )
 
+    def test_condition_on_continuous_parent_rejected(self, tmp_path):
+        spec = [
+            {"name": "x", "type": "continuous", "lo": 0.0, "hi": 1.0},
+            {
+                "name": "v",
+                "type": "categorical",
+                "choices": ["a", "b"],
+                "condition": {"parent": "x", "values": [0.5]},
+            },
+        ]
+        with pytest.raises(SpaceError, match="node 'v': condition on continuous parent 'x'"):
+            define_space(spec)
+        path = tmp_path / "continuous_parent.space"
+        path.write_text(yaml.safe_dump(spec))
+        with pytest.raises(SpaceError, match="node 'v': condition on continuous parent 'x'"):
+            load_space(path)
+
     def test_topological_reordering(self):
         space = define_space(
             [
@@ -133,12 +151,12 @@ class TestDefineSpace:
 class TestCategorical:
     def test_index_keeps_bools_apart_from_ints(self):
         domain = Categorical((1, True, 0, False, "a", 2.5))
-        assert [domain.index_of(v) for v in (1, True, 0, False, "a", 2.5)] == [0, 1, 2, 3, 4, 5]
-        assert domain.index_of(1.0) == 0
-        assert domain.index_of(np.int64(0)) == 2
-        assert domain.index_of(2) is None
-        assert domain.index_of([1]) is None
-        assert Categorical((True, 1)).index_of(True) == 0
+        assert [domain.code(v) for v in (1, True, 0, False, "a", 2.5)] == [0, 1, 2, 3, 4, 5]
+        assert domain.code(1.0) == 0
+        assert domain.code(np.int64(0)) == 2
+        assert domain.code(2) is None
+        assert domain.code([1]) is None
+        assert Categorical((True, 1)).code(True) == 0
 
     def test_duplicates_and_unhashable_choices_rejected(self):
         with pytest.raises(SpaceError, match="duplicate categorical choice 1.0"):

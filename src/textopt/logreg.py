@@ -6,9 +6,10 @@ convention so strength scales the penalty instead).  An always-on intercept
 per class is appended and excluded from the penalty.  The examples are the
 rows of a CSR matrix with one label each (``LabeledRows``).  Optimization
 starts from zero weights and runs one numpy quasi-Newton loop: L-BFGS for l2,
-and for l1 its orthant-wise form OWL-QN (Andrew & Gao 2007).  It stops when
-the infinity norm of the gradient (for l1, the pseudo-gradient) falls below
-tolerance times the smooth-loss gradient norm at zero, so runs are
+and for l1 its orthant-wise form OWL-QN (Andrew & Gao 2007), whose direction
+and (s, y) history live on the working set of coordinates that can move.  It
+stops when the infinity norm of the gradient (for l1, the pseudo-gradient)
+falls below tolerance times the smooth-loss gradient norm at zero, so runs are
 deterministic.
 """
 
@@ -18,7 +19,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -34,6 +35,12 @@ PENALTIES = ("l1", "l2")
 _HISTORY = 10
 _MAX_BACKTRACKS = 40
 _ARMIJO = 1e-4
+# A direction or pair whose support is at least this share of all coordinates
+# runs on full vectors through a slice: index arrays would cost more than they skip.
+_DENSE = 0.5
+_ALL = slice(None)
+# A stored pair: its support (sorted indices, or _ALL), s and y there, 1 / s.y.
+_Pair = tuple[np.ndarray | slice, np.ndarray, np.ndarray, float]
 
 
 @dataclass(frozen=True)
@@ -143,31 +150,43 @@ def _objective(
     x_t: scipy.sparse.csr_matrix,
     y_idx: np.ndarray,
     config: TrainConfig,
-    grad: np.ndarray,
-) -> float:
-    """Penalized objective at ``z``; its gradient is written into ``grad``.
+) -> tuple[float, Callable[[], np.ndarray]]:
+    """Penalized objective at ``z``, and a function that returns its gradient there.
 
     ``z`` holds the k x F coefficients row by row, then the k intercepts, and
-    ``x_t`` is ``x.T`` as a CSR matrix.  For the l1 penalty the coef gradient
-    is the smooth loss's only.
+    ``x_t`` is ``x.T`` as a CSR matrix.  The gradient reuses the value's
+    scores and log-sum-exp, so a line search pays for it only at the point it
+    accepts; for the l1 penalty its coef part is the smooth loss's only.  Each
+    class is scored with its own matrix-vector product: the same bits as
+    ``x @ coef.T``, without copying the coefficients into F order.
     """
     n_features = x.shape[1]
     k = z.size // (n_features + 1)
     block = k * n_features
     coef = z[:block].reshape(k, n_features)
-    scores = x @ coef.T + z[block:]
+    scores = np.empty((x.shape[0], k))
+    for c in range(k):
+        scores[:, c] = x @ coef[c]
+    scores += z[block:]
     lse = _logsumexp_rows(scores)
     rows = np.arange(len(y_idx))
     loss = config.loss_weight * float(np.sum(lse - scores[rows, y_idx]))
-    delta = np.exp(scores - lse[:, None])
-    delta[rows, y_idx] -= 1.0
-    grad_coef = grad[:block].reshape(coef.shape)
-    np.multiply((x_t @ delta).T, config.loss_weight, out=grad_coef)
-    grad[block:] = config.loss_weight * delta.sum(axis=0)
+
+    def gradient() -> np.ndarray:
+        delta = np.exp(scores - lse[:, None])
+        delta[rows, y_idx] -= 1.0
+        grad = np.empty_like(z)
+        grad_coef = grad[:block].reshape(coef.shape)
+        for c, column in enumerate(np.ascontiguousarray(delta.T)):
+            np.multiply(x_t @ column, config.loss_weight, out=grad_coef[c])
+        grad[block:] = config.loss_weight * delta.sum(axis=0)
+        if config.penalty == "l2":
+            grad_coef += config.penalty_weight * coef
+        return grad
+
     if config.penalty == "l2":
-        grad_coef += config.penalty_weight * coef
-        return loss + config.penalty_weight * 0.5 * float(np.sum(coef * coef))
-    return loss + config.penalty_weight * float(np.sum(np.abs(coef)))
+        return loss + config.penalty_weight * 0.5 * float(np.sum(coef * coef)), gradient
+    return loss + config.penalty_weight * float(np.sum(np.abs(coef))), gradient
 
 
 def objective_and_gradient(
@@ -189,28 +208,28 @@ def objective_and_gradient(
     if rows.x.shape[1] != dim:
         raise ValueError(f"feature dimension {rows.x.shape[1]} != weight dimension {dim}")
     z = np.concatenate([weights[:, :dim].ravel(), weights[:, dim]])
-    grad = np.empty_like(z)
-    value = _objective(z, rows.x, rows.x.T.tocsr(), _label_indices(rows, labels), config, grad)
+    y_idx = _label_indices(rows, labels)
+    value, gradient_at_z = _objective(z, rows.x, rows.x.T.tocsr(), y_idx, config)
     if not np.isfinite(value):
         raise FloatingPointError("non-finite objective value")
+    grad = gradient_at_z()
     block = len(labels) * dim
     gradient = np.concatenate([grad[:block].reshape(len(labels), dim), grad[block:, None]], axis=1)
     return value, gradient
 
 
-def _two_loop(v: np.ndarray, pairs: deque[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
-    """L-BFGS inverse-Hessian approximation times ``v`` from (s, y, 1 / s.y) pairs."""
-    q = v.copy()
+def _two_loop(q: np.ndarray, pairs: deque[_Pair]) -> np.ndarray:
+    """L-BFGS inverse-Hessian approximation times ``q``, in place; each pair acts on its support."""
     alphas = []
-    for s, y, rho in reversed(pairs):
-        alpha = rho * float(s @ q)
-        q -= alpha * y
+    for support, s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q[support])
+        q[support] -= alpha * y
         alphas.append(alpha)
     if pairs:
-        s, y, _ = pairs[-1]
+        _, s, y, _ = pairs[-1]
         q *= float(s @ y) / float(y @ y)
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * float(y @ q)) * s
+    for (support, s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q[support] += (alpha - rho * float(y @ q[support])) * s
     return q
 
 
@@ -224,16 +243,16 @@ def _solve(
     # outweighs the penalty, so they stay exactly zero otherwise.  With no l1
     # term the pseudo-gradient is the gradient and every orthant step below
     # is skipped, which leaves plain L-BFGS.
+    #
+    # For l1 the direction lives on a working set, the nonzero pseudo-gradient
+    # plus the stored pairs' supports, and the steps after the sign filter
+    # touch only its support; gradient and stop test stay full-length.  When
+    # that support is most coordinates, and always for l2, they run on full vectors.
     n_features = x.shape[1]
     block = k * n_features
     l1 = config.penalty == "l1"
     lam = config.penalty_weight
     x_t = x.T.tocsr()
-
-    def evaluate(z: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective value and gradient (for l1, of the smooth loss)."""
-        g = np.empty_like(z)
-        return _objective(z, x, x_t, y_idx, config, g), g
 
     def pseudo_gradient(z: np.ndarray, g: np.ndarray) -> np.ndarray:
         if not l1:
@@ -244,43 +263,63 @@ def _solve(
         return pg
 
     z = np.zeros(block + k)
-    value, g = evaluate(z)
+    value, gradient = _objective(z, x, x_t, y_idx, config)
+    g = gradient()
     gtol = config.tolerance * float(np.max(np.abs(g)))
     pg = pseudo_gradient(z, g)
-    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_HISTORY)
+    pairs: deque[_Pair] = deque(maxlen=_HISTORY)
     for _ in range(config.max_iterations):
         if float(np.max(np.abs(pg))) <= gtol:
             break
         d = _two_loop(-pg, pairs)
+        at: np.ndarray | slice = _ALL
         if l1:
             d[d * pg >= 0.0] = 0.0  # keep only components that agree in sign with -pg
+            if np.count_nonzero(d) < _DENSE * d.size:
+                at = np.flatnonzero(d)
+                d = d[at]
+        z_at, pg_at = z[at], pg[at]
+        if l1:
             # Orthant of this step: the sign of each nonzero coefficient, else
             # the sign it would take moving along -pg.
-            orthant = np.where(z[:block] != 0.0, np.sign(z[:block]), np.sign(-pg[:block]))
+            n_coef = block if at is _ALL else int(np.searchsorted(at, block))
+            w_at = z_at[:n_coef]
+            orthant = np.where(w_at != 0.0, np.sign(w_at), np.sign(-pg_at[:n_coef]))
         step = 1.0 if pairs else 1.0 / float(np.linalg.norm(d))
         for _ in range(_MAX_BACKTRACKS):
-            z_new = z + step * d
+            z_new_at = z_at + step * d
             if l1:
-                w_new = z_new[:block]
+                w_new = z_new_at[:n_coef]
                 w_new[np.sign(w_new) != orthant] = 0.0
-            value_new, g_new = evaluate(z_new)
-            if value_new <= value + _ARMIJO * float(pg @ (z_new - z)):
+            if at is _ALL:
+                z_new = z_new_at
+            else:
+                z_new = z.copy()
+                z_new[at] = z_new_at
+            value_new, gradient = _objective(z_new, x, x_t, y_idx, config)
+            if value_new <= value + _ARMIJO * float(pg_at @ (z_new_at - z_at)):
                 break
             step *= 0.5
         else:
             break  # the objective cannot be decreased along d
-        s = z_new - z
-        y = g_new - g
-        if l1:
-            # Coordinates the step left in place (pinned at zero) carry only
-            # cross terms; dropping them makes (s, y) a secant pair of the
-            # Hessian block of the coordinates that moved, and keeps the
-            # initial scaling s.y / y.y from collapsing when most
-            # coefficients stay at zero.
+        g_new = gradient()
+        s = z_new_at - z_at
+        del d, z_at, pg_at  # free early: as views, z_at and pg_at would keep the old z and pg alive
+        # For l1, coordinates the step left in place (pinned at zero) carry
+        # only cross terms; dropping them makes (s, y) a secant pair of the
+        # Hessian block of the coordinates that moved, and keeps the initial
+        # scaling s.y / y.y from collapsing when most coefficients stay at
+        # zero.  The pair is stored on those coordinates alone unless they
+        # are most of them.
+        if l1 and (at is not _ALL or np.count_nonzero(s) < _DENSE * s.size):
+            moved = np.flatnonzero(s)
+            at, s = moved if at is _ALL else at[moved], s[moved]
+        y = g_new[at] - g[at]
+        if l1 and at is _ALL:
             y = np.where(s != 0.0, y, 0.0)
         sy = float(s @ y)
         if sy > 0.0:
-            pairs.append((s, y, 1.0 / sy))
+            pairs.append((at, s, y, 1.0 / sy))
         z, g, value = z_new, g_new, value_new
         pg = pseudo_gradient(z, g)
     converged = float(np.max(np.abs(pg))) <= gtol

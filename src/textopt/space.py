@@ -99,15 +99,16 @@ class IntRange:
         return Categorical(self.choices)
 
     def contains(self, value: Value) -> bool:
+        # Numpy integers count, as they do in a Categorical of ints; bools do not.
         return (
-            isinstance(value, int)
+            isinstance(value, (int, np.integer))
             and not isinstance(value, bool)
             and self.lo <= value <= self.hi
         )
 
     def code(self, value: Value) -> int | None:
         """The symbol index of ``value`` among the range's integers, None outside the domain."""
-        return value - self.lo if self.contains(value) else None  # type: ignore[operator]
+        return int(value) - self.lo if self.contains(value) else None  # type: ignore[arg-type]
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.lo, self.hi + 1))

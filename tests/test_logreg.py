@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import scipy.optimize
 import scipy.sparse
 import scipy.special
 
+from textopt import logreg
 from textopt.logreg import (
     LabeledRows,
     Model,
@@ -365,6 +368,168 @@ class TestTrainL2(TestTrainL1):
     penalty = "l2"
     strengths = (1e-3, 1.0, 1e3)
     reference = staticmethod(lbfgsb_l2_objective)
+
+
+def sparse_instance(
+    rng: np.random.Generator, n_docs: int = 40, dim: int = 300, k: int = 3, density: float = 0.03
+):
+    """A wide sparse problem: nonnegative CSR features, labels from a planted sparse model."""
+    mask = rng.random((n_docs, dim)) < density
+    x = scipy.sparse.csr_matrix(np.where(mask, rng.exponential(size=(n_docs, dim)), 0.0))
+    planted = rng.normal(scale=3.0, size=(dim, k)) * (rng.random(dim) < 0.1)[:, None]
+    labels = tuple(f"c{i}" for i in range(k))
+    y = np.argmax(x @ planted + rng.gumbel(size=(n_docs, k)), axis=1)
+    return LabeledRows(x, [labels[i] for i in y]), dim, labels
+
+
+def full_vector_owlqn(rows: LabeledRows, config: TrainConfig, labels):
+    """Weights (k, F + 1), objective and converged flag of OWL-QN over all coordinates.
+
+    The l1 loop as the solver ran it before it moved to working sets: the
+    two-loop recursion over full-length (s, y) pairs, the sign filter, orthant
+    projection and Armijo test over every coordinate.  The weights are the
+    (k, F + 1) matrix flattened row by row, so the coordinates are ordered
+    differently from the solver's.
+    """
+    k, dim = len(labels), rows.x.shape[1]
+    lam = config.penalty_weight
+    penalized = np.zeros((k, dim + 1), dtype=bool)
+    penalized[:, :dim] = True
+    penalized = penalized.ravel()
+
+    def evaluate(w):
+        value, grad = objective_and_gradient(w.reshape(k, dim + 1), rows, config, labels)
+        return value, grad.ravel()
+
+    def pseudo_gradient(w, g):
+        shrunk = g - np.clip(g, -lam, lam)
+        return np.where(penalized, np.where(w != 0.0, g + lam * np.sign(w), shrunk), g)
+
+    w = np.zeros(k * (dim + 1))
+    value, g = evaluate(w)
+    gtol = config.tolerance * float(np.max(np.abs(g)))
+    pg = pseudo_gradient(w, g)
+    pairs = deque(maxlen=10)
+    for _ in range(config.max_iterations):
+        if float(np.max(np.abs(pg))) <= gtol:
+            break
+        q = -pg
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * float(s @ q))
+            q = q - alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            q = q * (float(s @ y) / float(y @ y))
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            q = q + (alpha - rho * float(y @ q)) * s
+        d = np.where(q * pg < 0.0, q, 0.0)
+        orthant = np.where(w != 0.0, np.sign(w), np.sign(-pg))
+        step = 1.0 if pairs else 1.0 / float(np.linalg.norm(d))
+        for _ in range(40):
+            w_new = w + step * d
+            w_new[penalized & (np.sign(w_new) != orthant)] = 0.0
+            value_new, g_new = evaluate(w_new)
+            if value_new <= value + 1e-4 * float(pg @ (w_new - w)):
+                break
+            step *= 0.5
+        else:
+            break
+        s = w_new - w
+        y = np.where(s != 0.0, g_new - g, 0.0)
+        if float(s @ y) > 0.0:
+            pairs.append((s, y, 1.0 / float(s @ y)))
+        w, g, value = w_new, g_new, value_new
+        pg = pseudo_gradient(w, g)
+    return w.reshape(k, dim + 1), value, float(np.max(np.abs(pg))) <= gtol
+
+
+def train_recording_pairs(monkeypatch, rows, config, labels):
+    """Fit, and return the model with the stored (support, s, y, rho) pairs of every iteration."""
+    seen = []
+    inner = logreg._two_loop
+
+    def spy(q, pairs):
+        seen.append(list(pairs))
+        return inner(q, pairs)
+
+    monkeypatch.setattr(logreg, "_two_loop", spy)
+    return train(rows, config, labels), seen
+
+
+class TestWorkingSet:
+    """The l1 solver on working sets against a full-vector OWL-QN, and where its pairs live."""
+
+    @pytest.mark.parametrize("seed", [24, 30])
+    def test_matches_full_vector_owlqn(self, seed):
+        rng = np.random.default_rng(seed)
+        for strength in (0.5, 3.0, 30.0, 300.0):
+            rows, dim, labels = sparse_instance(rng)
+            config = TrainConfig("l1", strength, 1e-8)
+            model = train(rows, config, labels)
+            _, reference, reference_converged = full_vector_owlqn(rows, config, labels)
+            assert model.converged == reference_converged
+            assert model.converged
+            assert stopping_residual(model, rows, dim, labels, config) <= 1.0 + 1e-9
+            weights = np.concatenate([model.coef, model.intercept[:, None]], axis=1)
+            value, _ = objective_and_gradient(weights, rows, config, labels)
+            assert value == pytest.approx(reference, rel=1e-6)
+            # In exact arithmetic the iterates are the same; early on, before
+            # rounding differences grow, they agree to near machine precision.
+            early = TrainConfig("l1", strength, 1e-8, max_iterations=8)
+            model = train(rows, early, labels)
+            weights = np.concatenate([model.coef, model.intercept[:, None]], axis=1)
+            expected, _, _ = full_vector_owlqn(rows, early, labels)
+            np.testing.assert_allclose(weights, expected, rtol=1e-9, atol=1e-12)
+
+    def test_sparse_fit_stores_pairs_on_moved_coordinates(self, monkeypatch):
+        rows, dim, labels = sparse_instance(np.random.default_rng(23))
+        model, seen = train_recording_pairs(monkeypatch, rows, TrainConfig("l1", 3.0, 1e-8), labels)
+        assert model.converged and len(seen) > 20
+        n_coords = len(labels) * (dim + 1)
+        pairs = {id(pair): pair for iteration in seen for pair in iteration}.values()
+        assert len(pairs) > 20
+        for support, s, y, _ in pairs:
+            assert isinstance(support, np.ndarray)
+            assert s.size == y.size == support.size == np.count_nonzero(s) < n_coords / 2
+            assert np.all(np.diff(support) > 0) and support[-1] < n_coords
+
+    def test_dense_support_fit_runs_on_full_vectors(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        rows, dim, labels = sparse_instance(rng, n_docs=400, dim=20, density=0.5)
+        config = TrainConfig("l1", 1e4, 1e-6)
+        model, seen = train_recording_pairs(monkeypatch, rows, config, labels)
+        assert model.converged and np.count_nonzero(model.coef) > 0.9 * model.coef.size
+        pairs = list({id(pair): pair for iteration in seen for pair in iteration}.values())
+        full = [pair for pair in pairs if isinstance(pair[0], slice)]
+        assert len(pairs) > 20 and len(full) > 0.9 * len(pairs)
+        # The few steps that moved under half of the coordinates keep their pairs on those.
+        n_coords = len(labels) * (dim + 1)
+        for support, s, _, _ in pairs:
+            assert isinstance(support, slice) or np.count_nonzero(s) == s.size < n_coords / 2
+        weights = np.concatenate([model.coef, model.intercept[:, None]], axis=1)
+        value, _ = objective_and_gradient(weights, rows, config, labels)
+        assert value == pytest.approx(full_vector_owlqn(rows, config, labels)[1], rel=1e-6)
+
+
+# sha256 over (coef, intercept, converged) of the l2 fits below, pinned when
+# l2 fits last changed.  The fits are bitwise reproducible on one numpy and
+# scipy build (the versions CI installs); another BLAS may sum dot products in
+# another order.  A deliberate change of l2 fits updates it and says so.
+L2_FIT_DIGEST = "7be23b334f4a66093095ed6dbc203002c911ff257166f1a9dd69f8811ee1281f"
+
+
+def test_l2_fits_match_pinned_digest():
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(31)
+    fits = [(1e-3, "loss"), (0.1, "loss"), (1.0, "loss"), (30.0, "loss"), (1e3, "loss")]
+    for strength, applies_to in fits + [(2.0, "penalty")]:
+        for rows, dim, labels in (sparse_instance(rng), random_instance(rng)):
+            config = TrainConfig("l2", strength, 1e-6, strength_applies_to=applies_to)
+            model = train(rows, config, labels)
+            digest.update(model.coef.tobytes() + model.intercept.tobytes())
+            digest.update(bytes([model.converged]))
+    assert digest.hexdigest() == L2_FIT_DIGEST
 
 
 class TestPredict:

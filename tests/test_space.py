@@ -263,6 +263,18 @@ class TestValidateAssignment:
         assert validate_assignment(space, {"a": True}) != []
         assert validate_assignment(space, {"a": 1}) == []
 
+    def test_numpy_integers_valid_in_int_range_as_in_categorical(self):
+        space = define_space([ParamNode("k", IntRange(1, 6)), ParamNode("c", Categorical((1, 2)))])
+        assignment = {"k": np.int64(2), "c": np.int64(2)}
+        assert validate_assignment(space, assignment) == []
+        codes = space.encode(assignment)
+        assert codes == [1, 1] and all(type(code) is int for code in codes)
+        for flag in (True, np.True_):
+            assert validate_assignment(space, {"k": flag, "c": 1}) == [
+                f"value {flag!r} of node 'k' out of domain"
+            ]
+        assert validate_assignment(space, {"k": np.int64(7), "c": 1}) != []
+
 
 class TestActiveNodes:
     def test_relevant_span_child_only(self):

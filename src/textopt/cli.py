@@ -29,7 +29,8 @@ from .pipeline import (
     report_values,
 )
 from .smbo import run
-from .space import ConfigSpace, load_space, text_rep_space, validate_assignment
+from .space import Assignment, ConfigSpace, load_space, text_rep_space, validate_assignment
+from .textrep import load_stopwords
 from .tpe import TpeParams
 
 log = logging.getLogger(__name__)
@@ -86,16 +87,26 @@ def _load_space_arg(args: argparse.Namespace) -> ConfigSpace:
         raise InputError(f"invalid space file {args.space}: {exc}") from exc
 
 
-def _stopwords() -> frozenset[str]:
-    from .textrep import load_stopwords
-
-    return load_stopwords()
+def _test_accuracy(
+    args: argparse.Namespace,
+    assignment: Assignment,
+    corpora: tuple[LabeledCorpus, LabeledCorpus, LabeledCorpus],
+    stoplist: frozenset[str],
+) -> float:
+    """Refit on train (plus dev with --refit-with-dev), score on test, and print the accuracy."""
+    train_corpus, dev_corpus, test_corpus = corpora
+    fit_corpus = train_corpus
+    if args.refit_with_dev:
+        fit_corpus = LabeledCorpus.from_pairs(train_corpus.documents + dev_corpus.documents)
+    test_accuracy = evaluate_assignment(assignment, fit_corpus, test_corpus, stoplist)
+    print(f"test_accuracy={test_accuracy!r}")
+    return test_accuracy
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     train_corpus, dev_corpus, test_corpus = _load_corpora(args)
     space = _load_space_arg(args)
-    stoplist = _stopwords()
+    stoplist = load_stopwords()
     params = TpeParams(
         gamma=args.gamma,
         n_candidates=args.candidates,
@@ -137,17 +148,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "refit_with_dev": bool(args.refit_with_dev),
     }
     if test_corpus is not None:
-        if args.refit_with_dev:
-            fit_corpus = LabeledCorpus.from_pairs(
-                train_corpus.documents + dev_corpus.documents
-            )
-        else:
-            fit_corpus = train_corpus
-        test_accuracy = evaluate_assignment(
-            state.incumbent.assignment, fit_corpus, test_corpus, stoplist
+        payload["test_accuracy"] = _test_accuracy(
+            args, state.incumbent.assignment, (train_corpus, dev_corpus, test_corpus), stoplist
         )
-        payload["test_accuracy"] = test_accuracy
-        print(f"test_accuracy={test_accuracy!r}")
     _atomic_write(out / "best.config", yaml.safe_dump(payload, sort_keys=False))
 
     print(f"best dev_accuracy={state.incumbent.y!r}")
@@ -175,16 +178,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for violation in violations:
             print(f"invalid configuration: {violation}", file=sys.stderr)
         return 2
-    stoplist = _stopwords()
+    stoplist = load_stopwords()
     dev_accuracy = evaluate_assignment(assignment, train_corpus, dev_corpus, stoplist)
     print(f"dev_accuracy={dev_accuracy!r}")
     if test_corpus is not None:
-        if args.refit_with_dev:
-            fit_corpus = LabeledCorpus.from_pairs(train_corpus.documents + dev_corpus.documents)
-        else:
-            fit_corpus = train_corpus
-        test_accuracy = evaluate_assignment(assignment, fit_corpus, test_corpus, stoplist)
-        print(f"test_accuracy={test_accuracy!r}")
+        _test_accuracy(args, assignment, (train_corpus, dev_corpus, test_corpus), stoplist)
     return 0
 
 

@@ -1,8 +1,7 @@
 """Multinomial logistic regression with l1 or squared-l2 penalty.
 
 The training objective is penalty(W) + C * sum of per-example negative
-log-softmax losses, where C is the strength hyperparameter (a flag flips the
-convention so strength scales the penalty instead).  An always-on intercept
+log-softmax losses, where C is the strength hyperparameter.  An always-on intercept
 per class is appended and excluded from the penalty.  The examples are the
 rows of a CSR matrix with one label each (``LabeledRows``).  Optimization
 starts from zero weights and runs one numpy quasi-Newton loop: L-BFGS for l2,
@@ -49,7 +48,6 @@ class TrainConfig:
     strength: float
     tolerance: float
     max_iterations: int = 1000
-    strength_applies_to: str = "loss"  # or "penalty"
 
     def __post_init__(self) -> None:
         if self.penalty not in PENALTIES:
@@ -60,18 +58,6 @@ class TrainConfig:
             raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
-        if self.strength_applies_to not in ("loss", "penalty"):
-            raise ValueError(
-                f"strength_applies_to must be 'loss' or 'penalty', got {self.strength_applies_to!r}"
-            )
-
-    @property
-    def loss_weight(self) -> float:
-        return self.strength if self.strength_applies_to == "loss" else 1.0
-
-    @property
-    def penalty_weight(self) -> float:
-        return 1.0 if self.strength_applies_to == "loss" else self.strength
 
 
 @dataclass
@@ -170,7 +156,7 @@ def _objective(
     scores += z[block:]
     lse = _logsumexp_rows(scores)
     rows = np.arange(len(y_idx))
-    loss = config.loss_weight * float(np.sum(lse - scores[rows, y_idx]))
+    loss = config.strength * float(np.sum(lse - scores[rows, y_idx]))
 
     def gradient() -> np.ndarray:
         delta = np.exp(scores - lse[:, None])
@@ -178,15 +164,15 @@ def _objective(
         grad = np.empty_like(z)
         grad_coef = grad[:block].reshape(coef.shape)
         for c, column in enumerate(np.ascontiguousarray(delta.T)):
-            np.multiply(x_t @ column, config.loss_weight, out=grad_coef[c])
-        grad[block:] = config.loss_weight * delta.sum(axis=0)
+            np.multiply(x_t @ column, config.strength, out=grad_coef[c])
+        grad[block:] = config.strength * delta.sum(axis=0)
         if config.penalty == "l2":
-            grad_coef += config.penalty_weight * coef
+            grad_coef += coef
         return grad
 
     if config.penalty == "l2":
-        return loss + config.penalty_weight * 0.5 * float(np.sum(coef * coef)), gradient
-    return loss + config.penalty_weight * float(np.sum(np.abs(coef))), gradient
+        return loss + 0.5 * float(np.sum(coef * coef)), gradient
+    return loss + float(np.sum(np.abs(coef))), gradient
 
 
 def objective_and_gradient(
@@ -251,7 +237,6 @@ def _solve(
     n_features = x.shape[1]
     block = k * n_features
     l1 = config.penalty == "l1"
-    lam = config.penalty_weight
     x_t = x.T.tocsr()
 
     def pseudo_gradient(z: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -259,7 +244,8 @@ def _solve(
             return g
         w, g_w = z[:block], g[:block]
         pg = g.copy()
-        pg[:block] = np.where(w != 0.0, g_w + lam * np.sign(w), g_w - np.clip(g_w, -lam, lam))
+        # The penalty's weight is 1 (strength scales the loss).
+        pg[:block] = np.where(w != 0.0, g_w + np.sign(w), g_w - np.clip(g_w, -1.0, 1.0))
         return pg
 
     z = np.zeros(block + k)

@@ -139,10 +139,10 @@ def make_objective(
     """Dev-accuracy objective over (train, dev); with ``cache_size`` > 0, counts are kept.
 
     With a positive ``cache_size``, one featurizer over train and dev texts
-    serves every trial: it tokenizes and counts on first use and keeps the
-    counts and vocabulary of each (n_min, n_max, stopwords) cell, at most 12
-    cells, so every positive size behaves the same.  With ``cache_size=0``
-    each trial featurizes with a fresh featurizer and nothing is kept.
+    serves every trial: it keeps one count matrix of n-gram lengths 1 to 3
+    per stopword setting, whose columns each cell selects, so every positive
+    size behaves the same.  With ``cache_size=0`` each trial counts all
+    three lengths with a fresh featurizer, and nothing is kept.
     Weighting is applied on every trial, so cached and uncached evaluations
     of the same assignment return identical values.
     """

@@ -38,20 +38,19 @@ def run(
     objective: Objective,
     n_trials: int,
     params: TpeParams | None = None,
-    rng: np.random.Generator | None = None,
     on_trial: TrialHook | None = None,
 ) -> RunState:
     """Execute exactly n_trials suggest/evaluate cycles and return the final state.
 
     A trial whose objective raises is recorded with y = nan, excluded from
-    surrogate fitting, and the run continues.  Identical inputs and seed give
+    surrogate fitting, and the run continues.  Suggestions draw from one
+    generator seeded with ``params.seed``, so identical inputs and seed give
     an identical trial history.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     params = params or TpeParams()
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(params.seed)
     state = RunState(budget=n_trials, seed=params.seed)
     for t in range(1, n_trials + 1):
         assignment = suggest(space, state.history, params, rng)

@@ -34,9 +34,13 @@ class SpaceError(ValueError):
     """Malformed space description, domain, or node reference."""
 
 
+def _is_bool(value: Value) -> bool:
+    return isinstance(value, (bool, np.bool_))
+
+
 def value_equal(a: Value, b: Value) -> bool:
-    """Equality that keeps bools distinct from ints (True is not 1 here)."""
-    return a == b and isinstance(a, bool) == isinstance(b, bool)
+    """Equality that keeps bools, numpy bools included, distinct from ints (True is not 1 here)."""
+    return a == b and _is_bool(a) == _is_bool(b)
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ class Categorical:
         index: dict[tuple[bool, Value], int] = {}
         for i, c in enumerate(self.choices):
             try:
-                first = index.setdefault((isinstance(c, bool), c), i)
+                first = index.setdefault((_is_bool(c), c), i)
             except TypeError:
                 raise SpaceError(f"categorical choice {c!r} is not hashable") from None
             if first != i:
@@ -65,7 +69,7 @@ class Categorical:
     def code(self, value: Value) -> int | None:
         """The symbol index of ``value``, None outside the domain."""
         try:
-            return self._index.get((isinstance(value, bool), value))
+            return self._index.get((_is_bool(value), value))
         except TypeError:  # an unhashable value is no choice
             return None
 

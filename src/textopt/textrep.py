@@ -8,15 +8,14 @@ indices assigned in lexicographic n-gram order.
 
 All featurization goes through a ``Featurizer``: a training corpus plus any
 texts to be scored against it, split into parts.  It tokenizes each text
-once, and keeps one CSR count block per (n, stopwords) over that length's
-sorted training n-grams, with their document frequencies.  A representation
-is the blocks for n_min..n_max side by side, put into lexicographic column
-order by one permutation, cached per (n_min, n_max, stopwords) with the
-per-column idf of its first tf-idf weighting; these are the only cache.
-Weighting is applied on every call: tf is the counts, binary their
-indicator, and tf-idf the counts times that idf.
-``build_vocabulary`` takes a featurizer's training part and
-``vectorize_corpus`` any part of the featurizer that built the vocabulary.
+once and keeps, per stopword setting, one CSR count matrix over every
+training n-gram of lengths 1 to 3 in lexicographic column order, with each
+column's document frequency, idf and n-gram length.  N-grams of different
+lengths never coincide, so representation n_min..n_max is the columns of
+those lengths in the same order; its ``Vocabulary`` holds their numbers.
+Each call selects them and weights: tf is the counts, binary their
+indicator, and tf-idf the counts times the idf.  ``build_vocabulary`` takes
+a featurizer's training part and ``vectorize_corpus`` any of its parts.
 """
 
 from __future__ import annotations
@@ -59,16 +58,36 @@ class RepresentationConfig:
             )
 
 
-@dataclass(frozen=True)
 class Vocabulary:
-    """N-gram index with document frequencies, built from a training corpus."""
+    """N-gram index with document frequencies, built from a training corpus.
 
-    entries: dict[str, tuple[int, int]]  # n-gram -> (index, document frequency)
-    n_docs: int
+    Index i is column ``columns[i]`` of a featurizer's count matrix, whose
+    n-grams and document frequencies are ``grams`` and ``doc_freq``; it keeps
+    those, not the featurizer or its counts.  ``entries`` is made on first read.
+    """
+
+    def __init__(
+        self, grams: list[str], doc_freq: np.ndarray, columns: np.ndarray, n_docs: int
+    ) -> None:
+        self._grams = grams
+        self._doc_freq = doc_freq
+        self.columns = columns
+        self.n_docs = n_docs
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.columns)
+
+    @cached_property
+    def entries(self) -> dict[str, tuple[int, int]]:
+        """N-gram -> (index, document frequency)."""
+        grams = map(self._grams.__getitem__, self.columns.tolist())
+        return dict(zip(grams, enumerate(self._doc_freq[self.columns].tolist())))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Vocabulary):
+            return NotImplemented
+        return self.n_docs == other.n_docs and self.entries == other.entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,42 +164,15 @@ def _count_matrix(
     )
 
 
-def _weight(cell: "_Cell", rows: slice, weighting: str) -> scipy.sparse.csr_matrix:
-    """The counts of ``rows`` of ``cell`` with a weighting applied."""
-    counts = cell.counts[rows]
-    if weighting == "tf":
-        values = counts.data
-    elif weighting == "binary":
-        values = np.ones_like(counts.data)
-    else:
-        values = counts.data * cell.idf[counts.indices]
-    return scipy.sparse.csr_matrix((values, counts.indices, counts.indptr), shape=counts.shape)
-
-
 @dataclass(frozen=True)
-class _Block:
-    """Counts of one n-gram length and stopword setting, over its sorted training n-grams."""
+class _Counts:
+    """Counts of every training n-gram of lengths 1 to 3, columns in lexicographic order."""
 
     grams: list[str]
-    counts: scipy.sparse.csr_matrix  # every text of the featurizer
+    lengths: np.ndarray  # n-gram length per column
+    matrix: scipy.sparse.csr_matrix  # every text of the featurizer
     doc_freq: np.ndarray  # training document frequency per column
-
-
-@dataclass(frozen=True)
-class _Cell:
-    """Counts of one (n_min, n_max, stopwords) representation in vocabulary order."""
-
-    vocab: Vocabulary
-    counts: scipy.sparse.csr_matrix  # every text of the featurizer
-    doc_freq: np.ndarray
-
-    @cached_property
-    def idf(self) -> np.ndarray:
-        """Per-column idf, made on the first tf-idf weighting of the cell."""
-        # math.log per distinct frequency, so values equal count * _idf(...) exactly.
-        distinct, inverse = np.unique(self.doc_freq, return_inverse=True)
-        idf = np.array([_idf(self.vocab.n_docs, int(df)) for df in distinct], dtype=np.float64)
-        return idf[inverse]
+    idf: np.ndarray
 
 
 class Texts(Sequence[str]):
@@ -200,11 +192,12 @@ class Texts(Sequence[str]):
 
 
 class Featurizer:
-    """Tokens and n-gram count blocks of a training corpus and of texts scored against it.
+    """Tokens and n-gram counts of a training corpus and of texts scored against it.
 
     ``parts`` holds the training texts first, then each scored set as given.
-    Tokens, blocks and assembled representations are computed on first use
-    and kept.
+    Per stopword setting, tokens and one count matrix over the training
+    n-grams of lengths 1 to 3 are computed on first use and kept, as is each
+    (n_min, n_max, stopwords) vocabulary: the column numbers of its lengths.
     """
 
     def __init__(
@@ -225,11 +218,11 @@ class Featurizer:
             self._bounds.append(len(self._texts))
         self.stoplist = stoplist
         self._tokens: dict[bool, list[list[str]]] = {}
-        self._blocks: dict[tuple[int, bool], _Block] = {}
-        self._cells: dict[tuple[int, int, bool], _Cell] = {}
+        self._matrices: dict[bool, _Counts] = {}
+        self._vocabs: dict[tuple[int, int, bool], Vocabulary] = {}
 
     # Parts are made on request: a featurizer holding its parts would form a
-    # reference cycle, which keeps its blocks alive until a full collection.
+    # reference cycle, which keeps its counts alive until a full collection.
     @property
     def parts(self) -> tuple[Texts, ...]:
         return tuple(Texts(self, part) for part in range(len(self._bounds) - 1))
@@ -249,40 +242,35 @@ class Featurizer:
                 self._tokens[False] = [tokenize(text) for text in self._texts]
         return self._tokens[remove_stopwords]
 
-    def _block(self, n: int, remove_stopwords: bool) -> _Block:
-        key = (n, remove_stopwords)
-        if key not in self._blocks:
-            doc_grams = [_ngrams(doc, n) for doc in self.tokens(remove_stopwords)]
-            grams = sorted(set().union(*doc_grams[: self.n_train]))
-            counts = _count_matrix(doc_grams, dict(zip(grams, range(len(grams)))), len(grams))
-            train_columns = counts.indices[: counts.indptr[self.n_train]]
-            doc_freq = np.bincount(train_columns, minlength=len(grams))
-            self._blocks[key] = _Block(grams, counts, doc_freq)
-        return self._blocks[key]
-
-    def _cell(self, n_min: int, n_max: int, remove_stopwords: bool) -> _Cell:
-        key = (n_min, n_max, remove_stopwords)
-        if key not in self._cells:
-            blocks = [self._block(n, remove_stopwords) for n in range(n_min, n_max + 1)]
-            grams = [gram for block in blocks for gram in block.grams]
-            doc_freq = np.concatenate([block.doc_freq for block in blocks])
-            counts = blocks[0].counts
-            if len(blocks) > 1:
-                # N-grams of different lengths never coincide, so the columns
-                # of the blocks side by side only need sorting.
-                order = sorted(range(len(grams)), key=grams.__getitem__)
-                position = np.empty(len(grams), dtype=np.int64)
-                position[order] = np.arange(len(grams))
-                grams = [grams[i] for i in order]
-                doc_freq = doc_freq[order]
-                stacked = scipy.sparse.hstack([block.counts for block in blocks], format="csr")
-                counts = scipy.sparse.csr_matrix(
-                    (stacked.data, position[stacked.indices], stacked.indptr), shape=stacked.shape
-                )
-                counts.sort_indices()
-            entries = dict(zip(grams, zip(range(len(grams)), doc_freq.tolist())))
-            self._cells[key] = _Cell(Vocabulary(entries, self.n_train), counts, doc_freq)
-        return self._cells[key]
+    def _counts(self, remove_stopwords: bool) -> _Counts:
+        if remove_stopwords not in self._matrices:
+            runs, blocks = [], []
+            for n in (1, 2, 3):
+                doc_grams = [_ngrams(doc, n) for doc in self.tokens(remove_stopwords)]
+                grams = sorted(set().union(*doc_grams[: self.n_train]))
+                column = dict(zip(grams, range(len(grams))))
+                runs.append(grams)
+                blocks.append(_count_matrix(doc_grams, column, len(grams)))
+            # N-grams of different lengths never coincide, so the three sorted
+            # runs side by side only need merging into one order.
+            grams = [gram for run in runs for gram in run]
+            order = sorted(range(len(grams)), key=grams.__getitem__)
+            position = np.empty(len(grams), dtype=np.int64)
+            position[order] = np.arange(len(grams))
+            stacked = scipy.sparse.hstack(blocks, format="csr")
+            del blocks
+            counts = scipy.sparse.csr_matrix(
+                (stacked.data, position[stacked.indices], stacked.indptr), shape=stacked.shape
+            )
+            counts.sort_indices()
+            lengths = np.repeat([1, 2, 3], [len(run) for run in runs])[order]
+            doc_freq = np.bincount(counts.indices[: counts.indptr[self.n_train]], minlength=len(grams))
+            # math.log per distinct frequency, so values equal count * _idf(...) exactly.
+            distinct, inverse = np.unique(doc_freq, return_inverse=True)
+            idf = np.array([_idf(self.n_train, int(df)) for df in distinct], dtype=np.float64)
+            grams = [grams[i] for i in order]
+            self._matrices[remove_stopwords] = _Counts(grams, lengths, counts, doc_freq, idf[inverse])
+        return self._matrices[remove_stopwords]
 
 
 def _featurizer_of(part: Texts, stoplist: frozenset[str]) -> Featurizer:
@@ -309,7 +297,12 @@ def build_vocabulary(
         raise ValueError(f"vocabulary needs the training part, got scored part {part.part}")
     if not part:
         raise ValueError("empty corpus")
-    return featurizer._cell(config.n_min, config.n_max, config.remove_stopwords).vocab
+    key = (config.n_min, config.n_max, config.remove_stopwords)
+    if key not in featurizer._vocabs:
+        counts = featurizer._counts(config.remove_stopwords)
+        columns = np.flatnonzero((counts.lengths >= config.n_min) & (counts.lengths <= config.n_max))
+        featurizer._vocabs[key] = Vocabulary(counts.grams, counts.doc_freq, columns, len(part))
+    return featurizer._vocabs[key]
 
 
 def vectorize_corpus(
@@ -324,10 +317,16 @@ def vectorize_corpus(
     same featurizer with the same n-gram lengths and stopword setting.
     """
     featurizer = _featurizer_of(part, stoplist)
-    cell = featurizer._cells.get((config.n_min, config.n_max, config.remove_stopwords))
-    if cell is None or cell.vocab is not vocab:
+    if featurizer._vocabs.get((config.n_min, config.n_max, config.remove_stopwords)) is not vocab:
         raise ValueError(
             "vocabulary was not built by the part's featurizer for "
             f"n-grams {config.n_min}..{config.n_max}, remove_stopwords={config.remove_stopwords}"
         )
-    return Vectors(_weight(cell, part.rows, config.weighting))
+    counts = featurizer._matrices[config.remove_stopwords]
+    # Indexing by a column array copies, so weighting in place leaves the counts as they are.
+    matrix = counts.matrix[part.rows, vocab.columns]
+    if config.weighting == "binary":
+        matrix.data[:] = 1.0
+    elif config.weighting == "tfidf":
+        matrix.data *= counts.idf[vocab.columns][matrix.indices]
+    return Vectors(matrix)

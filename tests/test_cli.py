@@ -13,7 +13,9 @@ import yaml
 
 import textopt
 from textopt.cli import TRIALS_HEADER, build_parser, main
-from textopt.data import split_corpus, synthetic_corpus, write_tsv
+from textopt.data import LabeledCorpus, load_tsv, split_corpus, synthetic_corpus, write_tsv
+from textopt.pipeline import evaluate_assignment
+from textopt.textrep import load_stopwords
 from textopt.tpe import TpeParams
 
 
@@ -233,6 +235,29 @@ class TestEval:
         printed = capsys.readouterr().out
         assert "dev_accuracy=" in printed
         assert "test_accuracy=" in printed
+
+    def test_refit_with_dev_scores_as_optimize_does(self, corpus_files, tmp_path, capsys):
+        out = tmp_path / "opt"
+        refit = ["--test", str(corpus_files["test"]), "--refit-with-dev"]
+        assert main(optimize_args(corpus_files, out, trials=3, extra=refit)) == 0
+        capsys.readouterr()
+        best_config = yaml.safe_load((out / "best.config").read_text())
+        code = main(
+            [
+                "eval",
+                "--train", str(corpus_files["train"]),
+                "--dev", str(corpus_files["dev"]),
+                "--config", str(out / "best.config"),
+                *refit,
+            ]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        line = next(l for l in printed.splitlines() if l.startswith("test_accuracy="))
+        train, dev, test = (load_tsv(corpus_files[name]) for name in ("train", "dev", "test"))
+        fit_corpus = LabeledCorpus.from_pairs(train.documents + dev.documents)
+        expected = evaluate_assignment(best_config["assignment"], fit_corpus, test, load_stopwords())
+        assert float(line.split("=", 1)[1]) == best_config["test_accuracy"] == expected
 
 
 class TestReport:

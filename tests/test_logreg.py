@@ -141,20 +141,6 @@ class TestObjectiveAndGradient:
         with pytest.raises(ValueError, match="dimension"):
             objective_and_gradient(np.zeros((2, 4)), data, config, ("a", "b"))
 
-    def test_strength_applies_to_penalty_flag(self):
-        rng = np.random.default_rng(4)
-        data, dim, labels = random_instance(rng)
-        weights = rng.normal(size=(len(labels), dim + 1))
-        coef = weights[:, :dim]
-        loss_side, _ = objective_and_gradient(
-            weights, data, TrainConfig("l2", 1.0, 1e-4), labels
-        )
-        penalty_side, _ = objective_and_gradient(
-            weights, data, TrainConfig("l2", 3.0, 1e-4, strength_applies_to="penalty"), labels
-        )
-        base_loss = loss_side - 0.5 * float(np.sum(coef * coef))
-        assert penalty_side == pytest.approx(base_loss + 3.0 * 0.5 * float(np.sum(coef * coef)))
-
 
 def separable_data(copies: int = 1) -> LabeledRows:
     return labeled([{0: 1.0}, {1: 1.0}] * copies, ["A", "B"] * copies, 2)
@@ -244,7 +230,7 @@ def stopping_residual(model, data, dim, labels, config) -> float:
     weights = np.concatenate([model.coef, model.intercept[:, None]], axis=1)
     _, smooth = objective_and_gradient(weights, data, config, labels)
     _, smooth0 = objective_and_gradient(np.zeros_like(weights), data, config, labels)
-    lam = config.penalty_weight
+    lam = 1.0  # the penalty's weight: strength scales the loss
     pseudo = smooth.copy()
     if config.penalty == "l1":
         for idx in np.ndindex(model.coef.shape):
@@ -262,7 +248,7 @@ def split_l1_objective(data, dim, labels, config) -> float:
     """Optimal l1 objective from an independent U - V split under L-BFGS-B."""
     k = len(labels)
     block = k * dim
-    lam = config.penalty_weight
+    lam = 1.0  # the penalty's weight: strength scales the loss
 
     def fun(z):
         u, v, b = z[:block], z[block : 2 * block], z[2 * block :]
@@ -327,16 +313,13 @@ class TestTrainL1:
     strengths = (0.5, 5.0, 50.0)  # of the tight-tolerance comparison
     reference = staticmethod(split_l1_objective)
 
-    @pytest.mark.parametrize("strength_applies_to", ["loss", "penalty"])
-    def test_converged_fit_meets_stop_rule(self, strength_applies_to):
+    def test_converged_fit_meets_stop_rule(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             data, dim, labels = random_instance(rng)
             strength = float(10 ** rng.uniform(-1, 2))
             tolerance = float(10 ** rng.uniform(-6, -3))
-            config = TrainConfig(
-                self.penalty, strength, tolerance, strength_applies_to=strength_applies_to
-            )
+            config = TrainConfig(self.penalty, strength, tolerance)
             model = train(data, config, labels)
             assert model.converged
             # Exact zeros are the solver's job; recomputation may differ in the last bits.
@@ -392,7 +375,7 @@ def full_vector_owlqn(rows: LabeledRows, config: TrainConfig, labels):
     differently from the solver's.
     """
     k, dim = len(labels), rows.x.shape[1]
-    lam = config.penalty_weight
+    lam = 1.0  # the penalty's weight: strength scales the loss
     penalized = np.zeros((k, dim + 1), dtype=bool)
     penalized[:, :dim] = True
     penalized = penalized.ravel()
@@ -516,16 +499,15 @@ class TestWorkingSet:
 # l2 fits last changed.  The fits are bitwise reproducible on one numpy and
 # scipy build (the versions CI installs); another BLAS may sum dot products in
 # another order.  A deliberate change of l2 fits updates it and says so.
-L2_FIT_DIGEST = "7be23b334f4a66093095ed6dbc203002c911ff257166f1a9dd69f8811ee1281f"
+L2_FIT_DIGEST = "3e01939337da1dd5cf2030bd9f11727a5fce7a1b9398e30ad1342dc5a95791e3"
 
 
 def test_l2_fits_match_pinned_digest():
     digest = hashlib.sha256()
     rng = np.random.default_rng(31)
-    fits = [(1e-3, "loss"), (0.1, "loss"), (1.0, "loss"), (30.0, "loss"), (1e3, "loss")]
-    for strength, applies_to in fits + [(2.0, "penalty")]:
+    for strength in (1e-3, 0.1, 1.0, 30.0, 1e3):
         for rows, dim, labels in (sparse_instance(rng), random_instance(rng)):
-            config = TrainConfig("l2", strength, 1e-6, strength_applies_to=applies_to)
+            config = TrainConfig("l2", strength, 1e-6)
             model = train(rows, config, labels)
             digest.update(model.coef.tobytes() + model.intercept.tobytes())
             digest.update(bytes([model.converged]))
@@ -613,7 +595,6 @@ class TestTrainConfig:
             {"penalty": "l2", "strength": 1.0, "tolerance": 0.0},
             {"penalty": "l2", "strength": 1.0, "tolerance": 1.0},
             {"penalty": "l2", "strength": 1.0, "tolerance": 1e-4, "max_iterations": 0},
-            {"penalty": "l2", "strength": 1.0, "tolerance": 1e-4, "strength_applies_to": "both"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

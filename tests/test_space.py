@@ -23,6 +23,7 @@ from textopt.space import (
     serialize_space,
     text_rep_space,
     validate_assignment,
+    value_equal,
 )
 
 
@@ -157,6 +158,17 @@ class TestCategorical:
         assert domain.code(2) is None
         assert domain.code([1]) is None
         assert Categorical((True, 1)).code(True) == 0
+
+    def test_numpy_bool_is_a_bool(self):
+        assert Categorical((True, False)).code(np.True_) == 0
+        assert Categorical((1, 2)).code(np.True_) is None
+        assert value_equal(np.True_, True) and not value_equal(np.True_, 1)
+        bools = define_space([ParamNode("b", Categorical((True, False)))])
+        ints = define_space([ParamNode("c", Categorical((1, 2)))])
+        assert validate_assignment(bools, {"b": np.True_}) == []
+        assert validate_assignment(ints, {"c": np.True_}) == [
+            "value np.True_ of node 'c' out of domain"
+        ]
 
     def test_duplicates_and_unhashable_choices_rejected(self):
         with pytest.raises(SpaceError, match="duplicate categorical choice 1.0"):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 from typing import Sequence
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import textopt.textrep
-from textopt.data import LabeledCorpus
+from textopt.data import LabeledCorpus, split_corpus, synthetic_corpus
 from textopt.pipeline import make_objective
 from textopt.textrep import (
     WEIGHTING_SCHEMES,
@@ -224,6 +226,42 @@ MANY_TRAIN = [
 MANY_SCORED = ["common x1 x1 y2 unseen", "the w3 common"]
 
 
+STOP_POOL = ("the", "of", "and", "a", "to", "in")
+
+
+def with_stopwords(corpus: LabeledCorpus, seed: int) -> LabeledCorpus:
+    """``corpus`` with a stopword before about three tokens in ten, so stopword cells differ."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for text, label in corpus.documents:
+        tokens = []
+        for token in text.split():
+            if rng.random() < 0.3:
+                tokens.append(STOP_POOL[int(rng.integers(len(STOP_POOL)))])
+            tokens.append(token)
+        pairs.append((" ".join(tokens), label))
+    return LabeledCorpus.from_pairs(pairs)
+
+
+def assignment_of(config: RepresentationConfig, regularizer: str) -> dict:
+    n_min = config.n_min
+    return {
+        "n_min": n_min,
+        f"n_span|n_min={n_min}": config.n_max - n_min,
+        "weighting": {"tfidf": "tf-idf"}.get(config.weighting, config.weighting),
+        "remove_stopwords": config.remove_stopwords,
+        "regularizer": regularizer,
+        "strength": 3.0,
+        "tolerance": 1e-4,
+    }
+
+
+# sha256 over the float.hex of the objective values below.  How the featurizer
+# stores and selects counts must not move it; a deliberate change of trial
+# values updates it and says so.
+OBJECTIVE_DIGEST = "a5945e08db92b98e8613232afd6a713295606bd3aed65a99df02e20483525762"
+
+
 def oracle(train_texts, texts, config, stoplist):
     """Vocabulary {gram: (index, df)} and (indices, values) per text, from extract_ngrams."""
 
@@ -324,6 +362,40 @@ class TestFeaturizer:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_objective_values_match_pinned_digest(self):
+        corpus = synthetic_corpus(160, n_classes=3, vocab_size=60, signal_strength=0.5, seed=5)
+        train, dev = split_corpus(with_stopwords(corpus, 5), 0.25, seed=5)
+        objective = make_objective(train, dev, load_stopwords())
+        digest = hashlib.sha256()
+        for config in ALL_CELLS:
+            for regularizer in ("l1", "l2"):
+                digest.update(objective(assignment_of(config, regularizer)).hex().encode())
+        assert digest.hexdigest() == OBJECTIVE_DIGEST
+
+    def test_more_cells_retain_little_more_than_the_widest(self):
+        corpus = with_stopwords(synthetic_corpus(300, vocab_size=300, seed=2), 2)
+        stoplist = load_stopwords()
+
+        def retained(configs) -> int:
+            """Bytes a featurizer holds after featurizing every part for ``configs``."""
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                featurizer = Featurizer(corpus.texts, [corpus.texts[:50]], stoplist)
+                for config in configs:
+                    vocab = build_vocabulary(featurizer.train, config, stoplist)
+                    for part in featurizer.parts:
+                        vectorize_corpus(part, vocab, config, stoplist)
+                del vocab, part
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        widest = [c for c in ALL_CELLS if (c.n_min, c.n_max, c.weighting) == (1, 3, "tf")]
+        # Every other cell selects columns of the same two count matrices.
+        assert retained(ALL_CELLS) <= 1.5 * retained(widest)
 
     def test_all_cells_tokenize_each_text_once(self, monkeypatch):
         calls = Counter()

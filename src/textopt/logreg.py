@@ -10,6 +10,15 @@ and (s, y) history live on the working set of coordinates that can move.  It
 stops when the infinity norm of the gradient (for l1, the pseudo-gradient)
 falls below tolerance times the smooth-loss gradient norm at zero, so runs are
 deterministic.
+
+Training columns that are exact copies of each other (an n-gram that occurs
+in one training document, say, copies every other such n-gram of that
+document) are merged first: a set of m identical columns becomes one column
+scaled by sqrt(m), whose l1 penalty weighs sqrt(m) and whose l2 penalty is
+unchanged.  Every inner product, norm and sign the solver uses is then the
+full problem's, so the iterates are the ones the full problem would take, up
+to rounding; the stop rule is measured in the full problem's units, and each
+member of a merged set gets the merged coefficient over sqrt(m).
 """
 
 from __future__ import annotations
@@ -40,6 +49,8 @@ _DENSE = 0.5
 _ALL = slice(None)
 # A stored pair: its support (sorted indices, or _ALL), s and y there, 1 / s.y.
 _Pair = tuple[np.ndarray | slice, np.ndarray, np.ndarray, float]
+# Seed of the random projections that hash training columns.
+_HASH_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -136,15 +147,18 @@ def _objective(
     x_t: scipy.sparse.csr_matrix,
     y_idx: np.ndarray,
     config: TrainConfig,
+    root: np.ndarray,
 ) -> tuple[float, Callable[[], np.ndarray]]:
     """Penalized objective at ``z``, and a function that returns its gradient there.
 
     ``z`` holds the k x F coefficients row by row, then the k intercepts, and
-    ``x_t`` is ``x.T`` as a CSR matrix.  The gradient reuses the value's
-    scores and log-sum-exp, so a line search pays for it only at the point it
-    accepts; for the l1 penalty its coef part is the smooth loss's only.  Each
-    class is scored with its own matrix-vector product: the same bits as
-    ``x @ coef.T``, without copying the coefficients into F order.
+    ``x_t`` is ``x.T`` as a CSR matrix.  Column j's l1 penalty weighs
+    ``root[j]``: sqrt(m) on a column that merges m identical ones, else 1.
+    The gradient reuses the value's scores and log-sum-exp, so a line search
+    pays for it only at the point it accepts; for the l1 penalty its coef part
+    is the smooth loss's only.  Each class is scored with its own
+    matrix-vector product: the same bits as ``x @ coef.T``, without copying
+    the coefficients into F order.
     """
     n_features = x.shape[1]
     k = z.size // (n_features + 1)
@@ -172,7 +186,7 @@ def _objective(
 
     if config.penalty == "l2":
         return loss + 0.5 * float(np.sum(coef * coef)), gradient
-    return loss + float(np.sum(np.abs(coef))), gradient
+    return loss + float(np.sum(np.abs(coef) * root)), gradient
 
 
 def objective_and_gradient(
@@ -195,7 +209,7 @@ def objective_and_gradient(
         raise ValueError(f"feature dimension {rows.x.shape[1]} != weight dimension {dim}")
     z = np.concatenate([weights[:, :dim].ravel(), weights[:, dim]])
     y_idx = _label_indices(rows, labels)
-    value, gradient_at_z = _objective(z, rows.x, rows.x.T.tocsr(), y_idx, config)
+    value, gradient_at_z = _objective(z, rows.x, rows.x.T.tocsr(), y_idx, config, np.ones(dim))
     if not np.isfinite(value):
         raise FloatingPointError("non-finite objective value")
     grad = gradient_at_z()
@@ -219,8 +233,64 @@ def _two_loop(q: np.ndarray, pairs: deque[_Pair]) -> np.ndarray:
     return q
 
 
+def _column_hash(xc: scipy.sparse.csc_matrix) -> np.ndarray:
+    """A 64-bit key per column of ``xc``: a fixed-seed random projection, plus the nonzero count.
+
+    Each column's entries are summed in row order, so identical columns get
+    identical keys.
+    """
+    projection = np.random.default_rng(_HASH_SEED).standard_normal(xc.shape[0])
+    return (xc.T @ projection).view(np.int64) + np.diff(xc.indptr)
+
+
+def _merge_identical_columns(
+    x: scipy.sparse.csr_matrix,
+) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """``x`` with each set of m identical columns merged into one column times sqrt(m).
+
+    Returns the merged matrix, the merged column of each column of ``x``, and
+    sqrt(m) per merged column.  Merged columns keep the order of their first
+    members.  Columns are sorted on their hash, and each is checked entry by
+    entry against the first of its run of equal keys; one that differs from
+    it stays on its own.  With no copies, ``x`` itself is returned.
+    """
+    n_features = x.shape[1]
+    xc = x.tocsc()
+    xc.sort_indices()
+    nnz = np.diff(xc.indptr)
+    keys = _column_hash(xc)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new_run = np.ones(n_features, dtype=bool)
+    new_run[1:] = keys[1:] != keys[:-1]
+    # The sort is stable, so a run's first member is its lowest-numbered column.
+    first = order[np.flatnonzero(new_run)[np.cumsum(new_run) - 1]]
+    members, firsts = order[~new_run], first[~new_run]
+    sized = nnz[members] == nnz[firsts]
+    members, firsts = members[sized], firsts[sized]
+    counts = nnz[members]
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    at_member = np.repeat(xc.indptr[members], counts) + offsets
+    at_first = np.repeat(xc.indptr[firsts], counts) + offsets
+    differs = (xc.indices[at_member] != xc.indices[at_first]) | (
+        xc.data[at_member] != xc.data[at_first]
+    )
+    same = np.ones(len(members), dtype=bool)
+    same[np.repeat(np.arange(len(members)), counts)[differs]] = False
+    representative = np.arange(n_features)
+    representative[members[same]] = firsts[same]
+    is_kept = representative == np.arange(n_features)
+    if is_kept.all():
+        return x, np.arange(n_features), np.ones(n_features)
+    column_of = (np.cumsum(is_kept) - 1)[representative]
+    root = np.sqrt(np.bincount(column_of).astype(np.float64))
+    merged = x[:, np.flatnonzero(is_kept)].astype(np.float64, copy=False)
+    merged.data *= root[merged.indices]
+    return merged, column_of, root
+
+
 def _solve(
-    x: scipy.sparse.csr_matrix, y_idx: np.ndarray, k: int, config: TrainConfig
+    x: scipy.sparse.csr_matrix, y_idx: np.ndarray, k: int, config: TrainConfig, root: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     # L-BFGS over the k*F coefficients followed by the k unpenalized
     # intercepts.  For l1 it is OWL-QN (Andrew & Gao, ICML 2007): the smooth
@@ -234,6 +304,12 @@ def _solve(
     # plus the stored pairs' supports, and the steps after the sign filter
     # touch only its support; gradient and stop test stay full-length.  When
     # that support is most coordinates, and always for l2, they run on full vectors.
+    #
+    # Column j of x merges m = root[j]**2 identical training columns (see
+    # _merge_identical_columns), so its coefficient is sqrt(m) times each
+    # member's, and its gradient and pseudo-gradient are sqrt(m) times each
+    # member's.  The stop test divides them by root to measure the full
+    # problem's infinity norm.
     n_features = x.shape[1]
     block = k * n_features
     l1 = config.penalty == "l1"
@@ -242,20 +318,29 @@ def _solve(
     def pseudo_gradient(z: np.ndarray, g: np.ndarray) -> np.ndarray:
         if not l1:
             return g
-        w, g_w = z[:block], g[:block]
+        w, g_w = z[:block].reshape(k, n_features), g[:block].reshape(k, n_features)
         pg = g.copy()
-        # The penalty's weight is 1 (strength scales the loss).
-        pg[:block] = np.where(w != 0.0, g_w + np.sign(w), g_w - np.clip(g_w, -1.0, 1.0))
+        # The penalty's weight is root: sqrt(m) on a column that merges m
+        # identical ones, else 1 (strength scales the loss).
+        pg[:block] = np.where(
+            w != 0.0, g_w + np.sign(w) * root, g_w - np.clip(g_w, -root, root)
+        ).ravel()
         return pg
 
+    def full_norm(v: np.ndarray) -> float:
+        """Infinity norm, over the full problem's coordinates, of ``v`` at merged ones."""
+        size = np.abs(v)
+        size[:block].reshape(k, n_features)[:] /= root
+        return float(np.max(size))
+
     z = np.zeros(block + k)
-    value, gradient = _objective(z, x, x_t, y_idx, config)
+    value, gradient = _objective(z, x, x_t, y_idx, config, root)
     g = gradient()
-    gtol = config.tolerance * float(np.max(np.abs(g)))
+    gtol = config.tolerance * full_norm(g)
     pg = pseudo_gradient(z, g)
     pairs: deque[_Pair] = deque(maxlen=_HISTORY)
     for _ in range(config.max_iterations):
-        if float(np.max(np.abs(pg))) <= gtol:
+        if full_norm(pg) <= gtol:
             break
         d = _two_loop(-pg, pairs)
         at: np.ndarray | slice = _ALL
@@ -282,7 +367,7 @@ def _solve(
             else:
                 z_new = z.copy()
                 z_new[at] = z_new_at
-            value_new, gradient = _objective(z_new, x, x_t, y_idx, config)
+            value_new, gradient = _objective(z_new, x, x_t, y_idx, config, root)
             if value_new <= value + _ARMIJO * float(pg_at @ (z_new_at - z_at)):
                 break
             step *= 0.5
@@ -308,20 +393,23 @@ def _solve(
             pairs.append((at, s, y, 1.0 / sy))
         z, g, value = z_new, g_new, value_new
         pg = pseudo_gradient(z, g)
-    converged = float(np.max(np.abs(pg))) <= gtol
+    converged = full_norm(pg) <= gtol
     return z[:block].reshape(k, n_features), z[block:], converged
 
 
 def train(rows: LabeledRows, config: TrainConfig, labels: Sequence[str]) -> Model:
     """Fit the model from zero initialization; deterministic for fixed inputs.
 
-    The feature dimension is the column count of ``rows.x``.
+    The feature dimension is the column count of ``rows.x``.  Identical
+    columns of ``rows.x`` get identical coefficients.
     """
     if not rows:
         raise ValueError("empty training data")
     labels = tuple(labels)
     y_idx = _label_indices(rows, labels)
-    coef, intercept, converged = _solve(rows.x, y_idx, len(labels), config)
+    x, column_of, root = _merge_identical_columns(rows.x)
+    coef, intercept, converged = _solve(x, y_idx, len(labels), config, root)
+    coef = (coef / root)[:, column_of]
     if not converged:
         log.warning("solver hit the iteration cap before reaching tolerance")
     return Model(labels, coef, intercept, converged)

@@ -88,6 +88,12 @@ def _labels(corpus: LabeledCorpus) -> list[str]:
     return [label for _, label in corpus.documents]
 
 
+def _lengths(assignment: Assignment) -> tuple[int, int]:
+    """The n-gram lengths of the assignment's representation: all a one-shot featurizer counts."""
+    rep = assignment_to_configs(assignment)[0]
+    return rep.n_min, rep.n_max
+
+
 def _fit_and_score(
     assignment: Assignment,
     featurizer: Featurizer,
@@ -118,7 +124,7 @@ def evaluate_assignment(
     stoplist: frozenset[str],
 ) -> float:
     """One featurize/train/score pass: accuracy of the trained model on eval_corpus."""
-    featurizer = Featurizer(train_corpus.texts, [eval_corpus.texts], stoplist)
+    featurizer = Featurizer(train_corpus.texts, [eval_corpus.texts], stoplist, _lengths(assignment))
     return _fit_and_score(assignment, featurizer, train_corpus, eval_corpus)[3]
 
 
@@ -126,7 +132,7 @@ def fit_assignment(
     assignment: Assignment, train_corpus: LabeledCorpus, stoplist: frozenset[str]
 ) -> tuple[Model, Vocabulary, RepresentationConfig]:
     """Featurize the training corpus per the assignment and train a model on it."""
-    featurizer = Featurizer(train_corpus.texts, (), stoplist)
+    featurizer = Featurizer(train_corpus.texts, (), stoplist, _lengths(assignment))
     return _fit_and_score(assignment, featurizer, train_corpus)[:3]
 
 
@@ -141,8 +147,8 @@ def make_objective(
     With a positive ``cache_size``, one featurizer over train and dev texts
     serves every trial: it keeps one count matrix of n-gram lengths 1 to 3
     per stopword setting, whose columns each cell selects, so every positive
-    size behaves the same.  With ``cache_size=0`` each trial counts all
-    three lengths with a fresh featurizer, and nothing is kept.
+    size behaves the same.  With ``cache_size=0`` each trial counts its own
+    n-gram lengths with a fresh featurizer, and nothing is kept.
     Weighting is applied on every trial, so cached and uncached evaluations
     of the same assignment return identical values.
     """

@@ -9,10 +9,11 @@ indices assigned in lexicographic n-gram order.
 All featurization goes through a ``Featurizer``: a training corpus plus any
 texts to be scored against it, split into parts.  It tokenizes each text
 once and keeps, per stopword setting, one CSR count matrix over every
-training n-gram of lengths 1 to 3 in lexicographic column order, with each
-column's document frequency, idf and n-gram length.  N-grams of different
-lengths never coincide, so representation n_min..n_max is the columns of
-those lengths in the same order; its ``Vocabulary`` holds their numbers.
+training n-gram of its lengths (1 to 3 unless built for one range) in
+lexicographic column order, with each column's document frequency, idf and
+n-gram length.  N-grams of different lengths never coincide, so
+representation n_min..n_max is the columns of those lengths in the same
+order; its ``Vocabulary`` holds their numbers.
 Each call selects them and weights: tf is the counts, binary their
 indicator, and tf-idf the counts times the idf.  ``build_vocabulary`` takes
 a featurizer's training part and ``vectorize_corpus`` any of its parts.
@@ -196,8 +197,10 @@ class Featurizer:
 
     ``parts`` holds the training texts first, then each scored set as given.
     Per stopword setting, tokens and one count matrix over the training
-    n-grams of lengths 1 to 3 are computed on first use and kept, as is each
-    (n_min, n_max, stopwords) vocabulary: the column numbers of its lengths.
+    n-grams of lengths ``lengths`` (n_min, n_max) are computed on first use
+    and kept, as is each (n_min, n_max, stopwords) vocabulary within them:
+    the column numbers of its lengths.  A featurizer made for one
+    representation counts only its lengths; the columns are the same either way.
     """
 
     def __init__(
@@ -205,9 +208,13 @@ class Featurizer:
         train_texts: Iterable[str],
         scored: Iterable[Iterable[str]] = (),
         stoplist: frozenset[str] = frozenset(),
+        lengths: tuple[int, int] = (1, 3),
     ) -> None:
         if isinstance(train_texts, str):
             raise TypeError("train_texts must be a collection of texts, not a str")
+        if not 1 <= lengths[0] <= lengths[1] <= 3:
+            raise ValueError(f"need 1 <= n_min <= n_max <= 3, got lengths {lengths}")
+        self.lengths = lengths
         self._texts = list(train_texts)
         self.n_train = len(self._texts)
         self._bounds = [0, self.n_train]
@@ -245,7 +252,8 @@ class Featurizer:
     def _counts(self, remove_stopwords: bool) -> _Counts:
         if remove_stopwords not in self._matrices:
             runs, blocks = [], []
-            for n in (1, 2, 3):
+            n_min, n_max = self.lengths
+            for n in range(n_min, n_max + 1):
                 doc_grams = [_ngrams(doc, n) for doc in self.tokens(remove_stopwords)]
                 grams = sorted(set().union(*doc_grams[: self.n_train]))
                 column = dict(zip(grams, range(len(grams))))
@@ -263,7 +271,7 @@ class Featurizer:
                 (stacked.data, position[stacked.indices], stacked.indptr), shape=stacked.shape
             )
             counts.sort_indices()
-            lengths = np.repeat([1, 2, 3], [len(run) for run in runs])[order]
+            lengths = np.repeat(np.arange(n_min, n_max + 1), [len(run) for run in runs])[order]
             doc_freq = np.bincount(counts.indices[: counts.indptr[self.n_train]], minlength=len(grams))
             # math.log per distinct frequency, so values equal count * _idf(...) exactly.
             distinct, inverse = np.unique(doc_freq, return_inverse=True)
@@ -297,6 +305,12 @@ def build_vocabulary(
         raise ValueError(f"vocabulary needs the training part, got scored part {part.part}")
     if not part:
         raise ValueError("empty corpus")
+    n_min, n_max = featurizer.lengths
+    if not n_min <= config.n_min <= config.n_max <= n_max:
+        raise ValueError(
+            f"n-grams {config.n_min}..{config.n_max} are outside "
+            f"the featurizer's {n_min}..{n_max}"
+        )
     key = (config.n_min, config.n_max, config.remove_stopwords)
     if key not in featurizer._vocabs:
         counts = featurizer._counts(config.remove_stopwords)

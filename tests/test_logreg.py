@@ -365,16 +365,30 @@ def sparse_instance(
     return LabeledRows(x, [labels[i] for i in y]), dim, labels
 
 
+def distinct_columns(rows: LabeledRows) -> tuple[LabeledRows, int]:
+    """``rows`` keeping the first of each set of identical columns, and its column count.
+
+    The solver trains on such columns as given, without merging any.
+    """
+    _, first = np.unique(rows.x.toarray().T, axis=0, return_index=True)
+    keep = np.sort(first)
+    rows = LabeledRows(rows.x[:, keep], rows.labels)
+    assert logreg._merge_identical_columns(rows.x)[0] is rows.x
+    return rows, keep.size
+
+
 def full_vector_owlqn(rows: LabeledRows, config: TrainConfig, labels):
     """Weights (k, F + 1), objective and converged flag of OWL-QN over all coordinates.
 
-    The l1 loop as the solver ran it before it moved to working sets: the
-    two-loop recursion over full-length (s, y) pairs, the sign filter, orthant
-    projection and Armijo test over every coordinate.  The weights are the
-    (k, F + 1) matrix flattened row by row, so the coordinates are ordered
-    differently from the solver's.
+    The l1 loop as the solver ran it before it moved to working sets and
+    merged identical columns: the two-loop recursion over full-length (s, y)
+    pairs, the sign filter, orthant projection and Armijo test over every
+    coordinate of the unreduced problem.  For l2 it is plain L-BFGS.  The
+    weights are the (k, F + 1) matrix flattened row by row, so the coordinates
+    are ordered differently from the solver's.
     """
     k, dim = len(labels), rows.x.shape[1]
+    l1 = config.penalty == "l1"
     lam = 1.0  # the penalty's weight: strength scales the loss
     penalized = np.zeros((k, dim + 1), dtype=bool)
     penalized[:, :dim] = True
@@ -385,6 +399,8 @@ def full_vector_owlqn(rows: LabeledRows, config: TrainConfig, labels):
         return value, grad.ravel()
 
     def pseudo_gradient(w, g):
+        if not l1:
+            return g
         shrunk = g - np.clip(g, -lam, lam)
         return np.where(penalized, np.where(w != 0.0, g + lam * np.sign(w), shrunk), g)
 
@@ -406,12 +422,13 @@ def full_vector_owlqn(rows: LabeledRows, config: TrainConfig, labels):
             q = q * (float(s @ y) / float(y @ y))
         for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
             q = q + (alpha - rho * float(y @ q)) * s
-        d = np.where(q * pg < 0.0, q, 0.0)
+        d = np.where(q * pg < 0.0, q, 0.0) if l1 else q
         orthant = np.where(w != 0.0, np.sign(w), np.sign(-pg))
         step = 1.0 if pairs else 1.0 / float(np.linalg.norm(d))
         for _ in range(40):
             w_new = w + step * d
-            w_new[penalized & (np.sign(w_new) != orthant)] = 0.0
+            if l1:
+                w_new[penalized & (np.sign(w_new) != orthant)] = 0.0
             value_new, g_new = evaluate(w_new)
             if value_new <= value + 1e-4 * float(pg @ (w_new - w)):
                 break
@@ -419,7 +436,7 @@ def full_vector_owlqn(rows: LabeledRows, config: TrainConfig, labels):
         else:
             break
         s = w_new - w
-        y = np.where(s != 0.0, g_new - g, 0.0)
+        y = np.where(s != 0.0, g_new - g, 0.0) if l1 else g_new - g
         if float(s @ y) > 0.0:
             pairs.append((s, y, 1.0 / float(s @ y)))
         w, g, value = w_new, g_new, value_new
@@ -466,8 +483,10 @@ class TestWorkingSet:
             np.testing.assert_allclose(weights, expected, rtol=1e-9, atol=1e-12)
 
     def test_sparse_fit_stores_pairs_on_moved_coordinates(self, monkeypatch):
-        rows, dim, labels = sparse_instance(np.random.default_rng(23))
-        model, seen = train_recording_pairs(monkeypatch, rows, TrainConfig("l1", 3.0, 1e-8), labels)
+        rng = np.random.default_rng(23)
+        rows, dim, labels = sparse_instance(rng, n_docs=100, density=0.05)
+        rows, dim = distinct_columns(rows)
+        model, seen = train_recording_pairs(monkeypatch, rows, TrainConfig("l1", 1.0, 1e-8), labels)
         assert model.converged and len(seen) > 20
         n_coords = len(labels) * (dim + 1)
         pairs = {id(pair): pair for iteration in seen for pair in iteration}.values()
@@ -480,6 +499,7 @@ class TestWorkingSet:
     def test_dense_support_fit_runs_on_full_vectors(self, monkeypatch):
         rng = np.random.default_rng(24)
         rows, dim, labels = sparse_instance(rng, n_docs=400, dim=20, density=0.5)
+        rows, dim = distinct_columns(rows)
         config = TrainConfig("l1", 1e4, 1e-6)
         model, seen = train_recording_pairs(monkeypatch, rows, config, labels)
         assert model.converged and np.count_nonzero(model.coef) > 0.9 * model.coef.size
@@ -495,11 +515,120 @@ class TestWorkingSet:
         assert value == pytest.approx(full_vector_owlqn(rows, config, labels)[1], rel=1e-6)
 
 
+def planted_copies_instance(rng: np.random.Generator, n_docs: int = 40, k: int = 3):
+    """A sparse problem whose columns come in sets of 1, 2, 5 and 40 copies.
+
+    One more column is all zero.  Returns the rows, the column count, the
+    labels and the set of each column.
+    """
+    sizes = [1] * 12 + [2] * 4 + [5] * 3 + [40, 1]
+    base = np.zeros((n_docs, len(sizes)))
+    for j in range(len(sizes) - 1):  # the last set is the all-zero column
+        docs = rng.choice(n_docs, size=int(rng.integers(1, 6)), replace=False)
+        base[docs, j] = rng.exponential(size=docs.size)
+    copy_of = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    x = scipy.sparse.csr_matrix(base[:, copy_of])
+    labels = tuple(f"c{i}" for i in range(k))
+    planted = rng.normal(scale=3.0, size=(len(sizes), k))
+    y = np.argmax(base @ planted + rng.gumbel(size=(n_docs, k)), axis=1)
+    return LabeledRows(x, [labels[i] for i in y]), x.shape[1], labels, copy_of
+
+
+def check_against_unreduced(rows, dim, labels, copy_of, config) -> Model:
+    """Fit with merged columns, check it against the unreduced reference loop, and return it."""
+    model = train(rows, config, labels)
+    _, reference, reference_converged = full_vector_owlqn(rows, config, labels)
+    assert model.converged == reference_converged
+    weights = np.concatenate([model.coef, model.intercept[:, None]], axis=1)
+    value, _ = objective_and_gradient(weights, rows, config, labels)
+    assert value == pytest.approx(reference, rel=1e-9)
+    if model.converged:
+        assert stopping_residual(model, rows, dim, labels, config) <= 1.0 + 1e-9
+    bits = model.coef.view(np.int64)
+    for copies in np.unique(copy_of):
+        members = bits[:, copy_of == copies]
+        assert (members == members[:, :1]).all()
+    # In exact arithmetic the iterates are the unreduced problem's; early on
+    # they agree to near machine precision.
+    early = TrainConfig(config.penalty, config.strength, config.tolerance, max_iterations=8)
+    model_early = train(rows, early, labels)
+    weights = np.concatenate([model_early.coef, model_early.intercept[:, None]], axis=1)
+    expected, _, _ = full_vector_owlqn(rows, early, labels)
+    np.testing.assert_allclose(weights, expected, rtol=1e-9, atol=1e-12)
+    return model
+
+
+class TestMergedColumns:
+    """Training merges identical columns and solves the smaller problem the full one reduces to."""
+
+    @pytest.mark.parametrize("penalty", ["l1", "l2"])
+    def test_matches_unreduced_reference(self, penalty):
+        rng = np.random.default_rng(41)
+        for strength in (0.5, 5.0, 50.0):
+            rows, dim, labels, copy_of = planted_copies_instance(rng)
+            merged, column_of, root = logreg._merge_identical_columns(rows.x)
+            # The merged columns are the planted sets, in the order of their first members.
+            _, first, inverse = np.unique(copy_of, return_index=True, return_inverse=True)
+            expected = np.argsort(np.argsort(first))[inverse]
+            assert np.array_equal(column_of, expected)
+            assert np.array_equal(root, np.sqrt(np.bincount(expected)))
+            assert merged.shape == (len(rows), first.size)
+            config = TrainConfig(penalty, strength, 1e-8)
+            assert check_against_unreduced(rows, dim, labels, copy_of, config).converged
+
+    @pytest.mark.parametrize("penalty", ["l1", "l2"])
+    @pytest.mark.parametrize("collide", ["constant", "nonzero count"])
+    def test_hash_collisions_merge_only_identical_columns(self, monkeypatch, penalty, collide):
+        rows, dim, labels, copy_of = planted_copies_instance(np.random.default_rng(42))
+        config = TrainConfig(penalty, 5.0, 1e-8)
+        fit = check_against_unreduced(rows, dim, labels, copy_of, config)
+        if collide == "constant":
+            monkeypatch.setattr(logreg, "_column_hash", lambda xc: np.zeros(xc.shape[1], np.int64))
+        else:
+            monkeypatch.setattr(logreg, "_column_hash", lambda xc: np.diff(xc.indptr))
+        merged, column_of, root = logreg._merge_identical_columns(rows.x)
+        dense = rows.x.toarray()
+        for column in range(merged.shape[1]):
+            members = np.flatnonzero(column_of == column)
+            assert root[column] == math.sqrt(members.size)
+            assert (dense[:, members] == dense[:, members[:1]]).all()
+        collided = check_against_unreduced(rows, dim, labels, copy_of, config)
+        assert collided.converged == fit.converged
+        # Both fits solve the same problem to the same stop rule.
+        values = [
+            objective_and_gradient(
+                np.concatenate([m.coef, m.intercept[:, None]], axis=1), rows, config, labels
+            )[0]
+            for m in (fit, collided)
+        ]
+        assert values[0] == pytest.approx(values[1], rel=1e-9)
+
+
+# sha256 over (coef, intercept, converged) of the fits below, on problems
+# whose columns are all distinct, pinned before training merged identical
+# columns: such problems train exactly as before.  Bitwise on the numpy and
+# scipy build CI installs, as the l2 digest below.
+DISTINCT_FIT_DIGEST = "f197e1098025fc1f686a2ec4bc11ee9ef310c26f332fc7d5af7b5297c2e87b5e"
+
+
+def test_distinct_column_fits_match_pinned_digest():
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(43)
+    for strength in (0.1, 3.0, 100.0):
+        for rows, _, labels in (sparse_instance(rng), random_instance(rng)):
+            rows, _ = distinct_columns(rows)
+            for penalty in ("l1", "l2"):
+                model = train(rows, TrainConfig(penalty, strength, 1e-6), labels)
+                digest.update(model.coef.tobytes() + model.intercept.tobytes())
+                digest.update(bytes([model.converged]))
+    assert digest.hexdigest() == DISTINCT_FIT_DIGEST
+
+
 # sha256 over (coef, intercept, converged) of the l2 fits below, pinned when
 # l2 fits last changed.  The fits are bitwise reproducible on one numpy and
 # scipy build (the versions CI installs); another BLAS may sum dot products in
 # another order.  A deliberate change of l2 fits updates it and says so.
-L2_FIT_DIGEST = "3e01939337da1dd5cf2030bd9f11727a5fce7a1b9398e30ad1342dc5a95791e3"
+L2_FIT_DIGEST = "e7bf1f1f601c13d46122c4116dcf08058f6d411c5a14a2a120b3ad504a626569"
 
 
 def test_l2_fits_match_pinned_digest():

@@ -60,10 +60,7 @@ def _format_cell(value: object) -> str:
 def _load_corpus(path: str, what: str) -> LabeledCorpus:
     if not Path(path).is_file():
         raise InputError(f"{what} corpus file not found: {path}")
-    try:
-        return load_tsv(path)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return load_tsv(path)
 
 
 def _load_corpora(args: argparse.Namespace) -> tuple[LabeledCorpus, LabeledCorpus, LabeledCorpus | None]:
@@ -343,10 +340,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -250,14 +250,14 @@ def _merge_identical_columns(
 
     Returns the merged matrix, the merged column of each column of ``x``, and
     sqrt(m) per merged column.  Merged columns keep the order of their first
-    members.  Columns are sorted on their hash, and each is checked entry by
-    entry against the first of its run of equal keys; one that differs from
-    it stays on its own.  With no copies, ``x`` itself is returned.
+    members.  Columns are sorted on their hash, and every column is checked
+    against the first of its run of equal keys with one sparse comparison;
+    one that differs from it in any entry stays on its own.  With no copies,
+    ``x`` itself is returned.
     """
     n_features = x.shape[1]
     xc = x.tocsc()
     xc.sort_indices()
-    nnz = np.diff(xc.indptr)
     keys = _column_hash(xc)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -266,17 +266,7 @@ def _merge_identical_columns(
     # The sort is stable, so a run's first member is its lowest-numbered column.
     first = order[np.flatnonzero(new_run)[np.cumsum(new_run) - 1]]
     members, firsts = order[~new_run], first[~new_run]
-    sized = nnz[members] == nnz[firsts]
-    members, firsts = members[sized], firsts[sized]
-    counts = nnz[members]
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    at_member = np.repeat(xc.indptr[members], counts) + offsets
-    at_first = np.repeat(xc.indptr[firsts], counts) + offsets
-    differs = (xc.indices[at_member] != xc.indices[at_first]) | (
-        xc.data[at_member] != xc.data[at_first]
-    )
-    same = np.ones(len(members), dtype=bool)
-    same[np.repeat(np.arange(len(members)), counts)[differs]] = False
+    same = (xc[:, members] != xc[:, firsts]).count_nonzero(axis=0) == 0
     representative = np.arange(n_features)
     representative[members[same]] = firsts[same]
     is_kept = representative == np.arange(n_features)

@@ -153,8 +153,9 @@ class Continuous:
         return float(min(max(value, self.lo), self.hi))
 
     def contains(self, value: Value) -> bool:
+        # Numpy integers and floats count, as in IntRange; bools (np.bool_ is neither) do not.
         return (
-            isinstance(value, (int, float))
+            isinstance(value, (int, float, np.integer, np.floating))
             and not isinstance(value, bool)
             and math.isfinite(value)
             and self.lo <= value <= self.hi

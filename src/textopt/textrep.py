@@ -11,12 +11,14 @@ texts to be scored against it, split into parts.  It tokenizes each text
 once and keeps, per stopword setting, one CSR count matrix over every
 training n-gram of its lengths (1 to 3 unless built for one range) in
 lexicographic column order, with each column's document frequency, idf and
-n-gram length.  N-grams of different lengths never coincide, so
-representation n_min..n_max is the columns of those lengths in the same
-order; its ``Vocabulary`` holds their numbers.
-Each call selects them and weights: tf is the counts, binary their
-indicator, and tf-idf the counts times the idf.  ``build_vocabulary`` takes
-a featurizer's training part and ``vectorize_corpus`` any of its parts.
+n-gram length.  The matrix is counted in one pass: each text's n-grams of
+every length form one list, the training n-grams are sorted once, and a
+column's length is read from its n-gram (tokens hold no spaces).  N-grams
+of different lengths never coincide, so representation n_min..n_max is the
+columns of those lengths in the same order; its ``Vocabulary`` holds their
+numbers.  Each call selects them and weights: tf is the counts, binary
+their indicator, and tf-idf the counts times the idf.  ``build_vocabulary``
+takes a featurizer's training part and ``vectorize_corpus`` any of its parts.
 """
 
 from __future__ import annotations
@@ -146,25 +148,6 @@ def _idf(n_docs: int, doc_freq: int) -> float:
     return math.log((1.0 + n_docs) / (1.0 + doc_freq)) + 1.0
 
 
-def _count_matrix(
-    doc_grams: Sequence[Iterable[str]], column: dict[str, int], n_columns: int
-) -> scipy.sparse.csr_matrix:
-    """Documents x columns counts of the n-grams ``column`` maps; other n-grams are dropped."""
-    columns: list[int] = []
-    lengths: list[int] = []
-    for grams in doc_grams:
-        start = len(columns)
-        columns.extend(map(column.get, grams, repeat(-1)))
-        lengths.append(len(columns) - start)
-    cols = np.asarray(columns, dtype=np.int64)
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    kept = cols >= 0
-    # COO to CSR sums repeated (row, column) pairs and sorts each row's columns.
-    return scipy.sparse.csr_matrix(
-        (np.ones(int(kept.sum())), (rows[kept], cols[kept])), shape=(len(lengths), n_columns)
-    )
-
-
 @dataclass(frozen=True)
 class _Counts:
     """Counts of every training n-gram of lengths 1 to 3, columns in lexicographic order."""
@@ -197,10 +180,11 @@ class Featurizer:
 
     ``parts`` holds the training texts first, then each scored set as given.
     Per stopword setting, tokens and one count matrix over the training
-    n-grams of lengths ``lengths`` (n_min, n_max) are computed on first use
-    and kept, as is each (n_min, n_max, stopwords) vocabulary within them:
-    the column numbers of its lengths.  A featurizer made for one
-    representation counts only its lengths; the columns are the same either way.
+    n-grams of lengths ``lengths`` (n_min, n_max), counted in one pass over
+    all of them, are computed on first use and kept, as is each (n_min,
+    n_max, stopwords) vocabulary within them: the column numbers of its
+    lengths.  A featurizer made for one representation counts only its
+    lengths; the columns are the same either way.
     """
 
     def __init__(
@@ -251,32 +235,32 @@ class Featurizer:
 
     def _counts(self, remove_stopwords: bool) -> _Counts:
         if remove_stopwords not in self._matrices:
-            runs, blocks = [], []
             n_min, n_max = self.lengths
-            for n in range(n_min, n_max + 1):
-                doc_grams = [_ngrams(doc, n) for doc in self.tokens(remove_stopwords)]
-                grams = sorted(set().union(*doc_grams[: self.n_train]))
-                column = dict(zip(grams, range(len(grams))))
-                runs.append(grams)
-                blocks.append(_count_matrix(doc_grams, column, len(grams)))
-            # N-grams of different lengths never coincide, so the three sorted
-            # runs side by side only need merging into one order.
-            grams = [gram for run in runs for gram in run]
-            order = sorted(range(len(grams)), key=grams.__getitem__)
-            position = np.empty(len(grams), dtype=np.int64)
-            position[order] = np.arange(len(grams))
-            stacked = scipy.sparse.hstack(blocks, format="csr")
-            del blocks
+            doc_grams = [
+                [gram for n in range(n_min, n_max + 1) for gram in _ngrams(doc, n)]
+                for doc in self.tokens(remove_stopwords)
+            ]
+            grams = sorted(set().union(*doc_grams[: self.n_train]))
+            column = dict(zip(grams, range(len(grams))))
+            columns: list[int] = []
+            sizes: list[int] = []
+            for doc in doc_grams:
+                columns.extend(map(column.get, doc, repeat(-1)))
+                sizes.append(len(doc))
+            del doc_grams, column
+            cols = np.asarray(columns, dtype=np.int64)
+            rows = np.repeat(np.arange(len(sizes)), sizes)
+            kept = cols >= 0
+            # COO to CSR sums repeated (row, column) pairs and sorts each row's columns.
             counts = scipy.sparse.csr_matrix(
-                (stacked.data, position[stacked.indices], stacked.indptr), shape=stacked.shape
+                (np.ones(int(kept.sum())), (rows[kept], cols[kept])), shape=(len(sizes), len(grams))
             )
-            counts.sort_indices()
-            lengths = np.repeat(np.arange(n_min, n_max + 1), [len(run) for run in runs])[order]
+            # Tokens hold no spaces, so an n-gram's length is its spaces plus one.
+            lengths = np.array([gram.count(" ") + 1 for gram in grams], dtype=np.int64)
             doc_freq = np.bincount(counts.indices[: counts.indptr[self.n_train]], minlength=len(grams))
             # math.log per distinct frequency, so values equal count * _idf(...) exactly.
             distinct, inverse = np.unique(doc_freq, return_inverse=True)
             idf = np.array([_idf(self.n_train, int(df)) for df in distinct], dtype=np.float64)
-            grams = [grams[i] for i in order]
             self._matrices[remove_stopwords] = _Counts(grams, lengths, counts, doc_freq, idf[inverse])
         return self._matrices[remove_stopwords]
 

@@ -113,6 +113,13 @@ class TestOptimize:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_malformed_corpus_file_reported(self, tmp_path, capsys):
+        path = tmp_path / "train.tsv"
+        path.write_text("no tab on this line\n", encoding="utf-8")
+        code = main(["optimize", "--train", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: line 1 has no tab separator\n"
+
     def test_condition_on_continuous_parent_rejected(self, corpus_files, tmp_path, capsys):
         space = textopt.serialize_space(textopt.text_rep_space())
         for item in space:

@@ -576,6 +576,23 @@ class TestMergedColumns:
             config = TrainConfig(penalty, strength, 1e-8)
             assert check_against_unreduced(rows, dim, labels, copy_of, config).converged
 
+    def test_colliding_columns_merge_only_on_equal_rows_and_values(self, monkeypatch):
+        # Every column hashes alike, so each is compared with column 0.
+        monkeypatch.setattr(logreg, "_column_hash", lambda xc: np.zeros(xc.shape[1], np.int64))
+        dense = np.array(
+            [
+                [1.0, 1.0, 0.0, 1.0],
+                [2.0, 3.0, 2.0, 2.0],
+                [0.0, 0.0, 1.0, 0.0],
+            ]
+        )
+        # Column 1 has column 0's rows with one value changed, column 2 its
+        # values on other rows; only column 3, a copy, merges.
+        merged, column_of, root = logreg._merge_identical_columns(scipy.sparse.csr_matrix(dense))
+        assert column_of.tolist() == [0, 1, 2, 0]
+        assert root.tolist() == [math.sqrt(2.0), 1.0, 1.0]
+        assert np.array_equal(merged.toarray(), dense[:, :3] * root)
+
     @pytest.mark.parametrize("penalty", ["l1", "l2"])
     @pytest.mark.parametrize("collide", ["constant", "nonzero count"])
     def test_hash_collisions_merge_only_identical_columns(self, monkeypatch, penalty, collide):

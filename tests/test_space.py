@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 import yaml
@@ -286,6 +288,20 @@ class TestValidateAssignment:
                 f"value {flag!r} of node 'k' out of domain"
             ]
         assert validate_assignment(space, {"k": np.int64(7), "c": 1}) != []
+
+    def test_numpy_reals_valid_in_continuous(self):
+        space = define_space(
+            [ParamNode("x", Continuous(0, 10)), ParamNode("s", Continuous(1e-3, 1e3, "log10"))]
+        )
+        for value in (np.int64(5), np.int32(5), np.float32(5.5), np.float64(5.5), 5, 5.5):
+            assert validate_assignment(space, {"x": value, "s": value}) == []
+            assert space.encode({"x": value, "s": value}) == [float(value), math.log10(value)]
+        for flag in (True, np.True_, np.False_):
+            assert validate_assignment(space, {"x": flag, "s": 1.0}) == [
+                f"value {flag!r} of node 'x' out of domain"
+            ]
+        for value in (np.float32(10.5), np.int64(-1), np.float64(np.nan), np.float32(np.inf)):
+            assert validate_assignment(space, {"x": value, "s": 1.0}) != []
 
 
 class TestActiveNodes:

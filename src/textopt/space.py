@@ -82,25 +82,25 @@ class Categorical:
 
 @dataclass(frozen=True)
 class IntRange:
-    """Inclusive integer interval."""
+    """Inclusive integer interval; a value's code is its index in ``choices``.
+
+    The surrogate fits and draws a range's density on the range itself.
+    """
 
     lo: int
     hi: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
-            raise SpaceError(f"integer bounds must be ints, got {self.lo!r}, {self.hi!r}")
+        for name, bound in (("lo", self.lo), ("hi", self.hi)):
+            if not isinstance(bound, int) or _is_bool(bound):
+                raise SpaceError(f"integer bound {name} must be an int, got {bound!r}")
         if self.lo > self.hi:
             raise SpaceError(f"integer range has lo {self.lo} > hi {self.hi}")
 
-    @property
-    def choices(self) -> tuple[int, ...]:
-        return tuple(range(self.lo, self.hi + 1))
-
     @cached_property
-    def as_categorical(self) -> Categorical:
-        """The same integers as a Categorical domain, built once per range."""
-        return Categorical(self.choices)
+    def choices(self) -> tuple[int, ...]:
+        """The range's integers in order, built once per range."""
+        return tuple(range(self.lo, self.hi + 1))
 
     def contains(self, value: Value) -> bool:
         # Numpy integers count, as they do in a Categorical of ints; bools do not.
@@ -127,6 +127,9 @@ class Continuous:
     scale: str = "linear"
 
     def __post_init__(self) -> None:
+        for name, bound in (("lo", self.lo), ("hi", self.hi)):
+            if not isinstance(bound, (int, float, np.integer, np.floating)) or _is_bool(bound):
+                raise SpaceError(f"continuous bound {name} must be a number, got {bound!r}")
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -256,10 +259,7 @@ def _node_from_mapping(item: Mapping[str, Any]) -> ParamNode:
         elif kind == "int":
             domain = IntRange(item["lo"], item["hi"])
         elif kind == "continuous":
-            lo, hi = item["lo"], item["hi"]
-            if not isinstance(lo, (int, float)) or not isinstance(hi, (int, float)):
-                raise SpaceError(f"continuous bounds must be numbers, got {lo!r}, {hi!r}")
-            domain = Continuous(lo, hi, item.get("scale", "linear"))
+            domain = Continuous(item["lo"], item["hi"], item.get("scale", "linear"))
         else:
             raise SpaceError(f"unknown node type {kind!r}")
         condition = None

@@ -7,8 +7,9 @@ token sequence.  Vocabularies are built from training text only, with
 indices assigned in lexicographic n-gram order.
 
 All featurization goes through a ``Featurizer``: a training corpus plus any
-texts to be scored against it, split into parts.  It tokenizes each text
-once and keeps, per stopword setting, one CSR count matrix over every
+texts to be scored against it, split into parts, which are row handles.  It
+tokenizes each text once, drops the tokens once both stopword settings are
+counted, and keeps, per stopword setting, one CSR count matrix over every
 training n-gram of its lengths (1 to 3 unless built for one range) in
 lexicographic column order, with each column's document frequency, idf and
 n-gram length.  The matrix is counted in one pass: each text's n-grams of
@@ -159,31 +160,28 @@ class _Counts:
     idf: np.ndarray
 
 
-class Texts(Sequence[str]):
-    """The texts of one part of a featurizer: its training corpus (part 0) or a set to score."""
+class Texts:
+    """Row handle for one part of a featurizer: its training corpus (part 0) or a set to score."""
 
     def __init__(self, featurizer: "Featurizer", part: int) -> None:
         self.featurizer = featurizer
         self.part = part
         self.rows = slice(*featurizer._bounds[part : part + 2])
-        self._texts = featurizer._texts[self.rows]
 
     def __len__(self) -> int:
-        return len(self._texts)
-
-    def __getitem__(self, index):
-        return self._texts[index]
+        return self.rows.stop - self.rows.start
 
 
 class Featurizer:
-    """Tokens and n-gram counts of a training corpus and of texts scored against it.
+    """N-gram counts of a training corpus and of texts scored against it.
 
-    ``parts`` holds the training texts first, then each scored set as given.
-    Per stopword setting, tokens and one count matrix over the training
-    n-grams of lengths ``lengths`` (n_min, n_max), counted in one pass over
-    all of them, are computed on first use and kept, as is each (n_min,
-    n_max, stopwords) vocabulary within them: the column numbers of its
-    lengths.  A featurizer made for one representation counts only its
+    ``parts`` holds the training part first, then each scored set as given.
+    Per stopword setting, one count matrix over the training n-grams of
+    lengths ``lengths`` (n_min, n_max), counted in one pass over all of
+    them, is computed on first use and kept, as is each (n_min, n_max,
+    stopwords) vocabulary within them: the column numbers of its lengths.
+    Tokens are made on first use and dropped once both settings are
+    counted.  A featurizer made for one representation counts only its
     lengths; the columns are the same either way.
     """
 
@@ -208,7 +206,7 @@ class Featurizer:
             self._texts.extend(texts)
             self._bounds.append(len(self._texts))
         self.stoplist = stoplist
-        self._tokens: dict[bool, list[list[str]]] = {}
+        self._tokens: list[list[str]] | None = None
         self._matrices: dict[bool, _Counts] = {}
         self._vocabs: dict[tuple[int, int, bool], Vocabulary] = {}
 
@@ -222,24 +220,15 @@ class Featurizer:
     def train(self) -> Texts:
         return Texts(self, 0)
 
-    def tokens(self, remove_stopwords: bool) -> list[list[str]]:
-        """Every text's tokens, stopword-compacted if asked."""
-        if remove_stopwords not in self._tokens:
-            if remove_stopwords:
-                self._tokens[True] = [
-                    [t for t in doc if t not in self.stoplist] for doc in self.tokens(False)
-                ]
-            else:
-                self._tokens[False] = [tokenize(text) for text in self._texts]
-        return self._tokens[remove_stopwords]
-
     def _counts(self, remove_stopwords: bool) -> _Counts:
         if remove_stopwords not in self._matrices:
-            n_min, n_max = self.lengths
-            doc_grams = [
-                [gram for n in range(n_min, n_max + 1) for gram in _ngrams(doc, n)]
-                for doc in self.tokens(remove_stopwords)
-            ]
+            if self._tokens is None:
+                self._tokens = [tokenize(text) for text in self._texts]
+            tokens = self._tokens
+            if remove_stopwords:
+                tokens = [[t for t in doc if t not in self.stoplist] for doc in tokens]
+            ns = range(self.lengths[0], self.lengths[1] + 1)
+            doc_grams = [[gram for n in ns for gram in _ngrams(doc, n)] for doc in tokens]
             grams = sorted(set().union(*doc_grams[: self.n_train]))
             column = dict(zip(grams, range(len(grams))))
             columns: list[int] = []
@@ -247,7 +236,7 @@ class Featurizer:
             for doc in doc_grams:
                 columns.extend(map(column.get, doc, repeat(-1)))
                 sizes.append(len(doc))
-            del doc_grams, column
+            del tokens, doc_grams, column
             cols = np.asarray(columns, dtype=np.int64)
             rows = np.repeat(np.arange(len(sizes)), sizes)
             kept = cols >= 0
@@ -262,6 +251,8 @@ class Featurizer:
             distinct, inverse = np.unique(doc_freq, return_inverse=True)
             idf = np.array([_idf(self.n_train, int(df)) for df in distinct], dtype=np.float64)
             self._matrices[remove_stopwords] = _Counts(grams, lengths, counts, doc_freq, idf[inverse])
+            if len(self._matrices) == 2:  # both settings counted: tokens are not read again
+                self._tokens = None
         return self._matrices[remove_stopwords]
 
 

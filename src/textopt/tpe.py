@@ -133,7 +133,7 @@ def split_history(history: Sequence[TrialRecord], gamma: float) -> HistorySplit:
 class ParzenCategorical:
     """Reweighted categorical distribution: weight(c) proportional to smoothing + count(c)."""
 
-    domain: Categorical
+    domain: Categorical | IntRange
     weights: np.ndarray
     smoothing: float
     _cdf: list[float] = field(init=False, repr=False, compare=False)
@@ -170,7 +170,7 @@ class ParzenCategorical:
 
 
 def fit_categorical(
-    observations: Sequence[Value], domain: Categorical, smoothing: float
+    observations: Sequence[Value], domain: Categorical | IntRange, smoothing: float
 ) -> ParzenCategorical:
     indices = [domain.code(obs) for obs in observations]
     if None in indices:
@@ -180,7 +180,7 @@ def fit_categorical(
 
 
 def _smoothed_counts(
-    indices: np.ndarray, domain: Categorical, smoothing: float
+    indices: np.ndarray, domain: Categorical | IntRange, smoothing: float
 ) -> ParzenCategorical:
     """The categorical with weight(c) proportional to smoothing + the count of c in ``indices``."""
     if smoothing <= 0.0:
@@ -277,11 +277,6 @@ ParzenModel = ParzenCategorical | ParzenContinuous
 NodeModels = Mapping[str, ParzenModel]
 
 
-def _symbols(domain: Categorical | IntRange) -> Categorical:
-    """The domain whose choice indices discrete densities are fitted over."""
-    return domain.as_categorical if isinstance(domain, IntRange) else domain
-
-
 def _stack(space: ConfigSpace, rows: Sequence[Sequence[float]]) -> np.ndarray:
     """Code rows as the rows of one matrix."""
     return np.array(rows, dtype=float).reshape(len(rows), len(space.nodes))
@@ -310,7 +305,7 @@ def fit_node_models(
             models[node.name] = fit_continuous(column, node.domain)
         else:
             indices = column.astype(np.intp)
-            models[node.name] = _smoothed_counts(indices, _symbols(node.domain), smoothing)
+            models[node.name] = _smoothed_counts(indices, node.domain, smoothing)
     return models
 
 
@@ -332,7 +327,7 @@ def _draw(
             codes[j] = domain.to_internal(value)
         else:
             i = model.sample_index(rng)  # type: ignore[union-attr]
-            value = _symbols(domain).choices[i]
+            value = domain.choices[i]
             codes[j] = i
         assignment[node.name] = value
     return assignment, codes

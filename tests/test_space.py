@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,30 @@ class TestDefineSpace:
                 [{"name": "b", "type": "continuous", "lo": -1.0, "hi": 1.0, "scale": "log10"}]
             )
 
+    @pytest.mark.parametrize("kind", ["int", "continuous"])
+    def test_bool_bounds_in_descriptions_rejected(self, kind, tmp_path):
+        # True == 1, but a bool is no bound, as it is no value of a numeric node.
+        with pytest.raises(SpaceError, match="node 'b': .* bound lo must be .*, got True$"):
+            define_space([{"name": "b", "type": kind, "lo": True, "hi": 3}])
+        path = tmp_path / "bool_bound.space"
+        path.write_text(f"- {{name: b, type: {kind}, lo: 0, hi: true}}\n")
+        with pytest.raises(SpaceError, match="node 'b': .* bound hi must be .*, got True$"):
+            load_space(path)
+
+    @pytest.mark.parametrize("domain", [IntRange, Continuous])
+    @pytest.mark.parametrize(
+        "lo,hi,bound", [(True, 3, "lo"), (0, np.True_, "hi"), (np.False_, 3, "lo")]
+    )
+    def test_bool_bounds_rejected_by_domains(self, domain, lo, hi, bound):
+        value = repr(lo if bound == "lo" else hi)
+        with pytest.raises(SpaceError, match=rf"bound {bound} must be .*, got {re.escape(value)}$"):
+            domain(lo, hi)
+
+    def test_non_number_continuous_bound_rejected(self):
+        message = "node 'x': continuous bound hi must be a number, got '1e-5'"
+        with pytest.raises(SpaceError, match=message):
+            define_space([{"name": "x", "type": "continuous", "lo": 0.0, "hi": "1e-5"}])
+
     def test_activating_value_outside_parent_domain(self):
         with pytest.raises(SpaceError, match="outside domain"):
             define_space(
@@ -178,10 +203,10 @@ class TestCategorical:
         with pytest.raises(SpaceError, match="not hashable"):
             Categorical(("a", ["b"]))
 
-    def test_int_range_as_categorical_built_once(self):
+    def test_int_range_choices_built_once(self):
         domain = IntRange(2, 5)
-        assert domain.as_categorical.choices == (2, 3, 4, 5)
-        assert domain.as_categorical is domain.as_categorical
+        assert domain.choices == (2, 3, 4, 5)
+        assert domain.choices is domain.choices
 
 
 class TestTextRepSpace:

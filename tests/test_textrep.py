@@ -424,6 +424,41 @@ class TestFeaturizer:
         # Every other cell selects columns of the same two count matrices.
         assert retained(ALL_CELLS) <= 1.5 * retained(widest)
 
+    def test_parts_are_row_handles(self):
+        featurizer = Featurizer(TRAIN_TEXTS, [SCORED_TEXTS, SHORT_SCORED, []], STOPLIST)
+        parts = featurizer.parts
+        sizes = [len(TRAIN_TEXTS), len(SCORED_TEXTS), len(SHORT_SCORED), 0]
+        assert [len(part) for part in parts] == sizes
+        assert len(featurizer.train) == len(TRAIN_TEXTS)
+        for part in parts:
+            assert set(vars(part)) == {"featurizer", "part", "rows"}  # no copy of the texts
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_tokens_dropped_once_both_settings_are_counted(self, first):
+        def token_lists(featurizer) -> list[list]:
+            """Lists of token lists reachable from ``featurizer``'s own objects."""
+            seen, stack, found = {id(featurizer)}, [featurizer], []
+            while stack:
+                obj = stack.pop()
+                if isinstance(obj, list) and obj and all(isinstance(doc, list) for doc in obj):
+                    found.append(obj)
+                for ref in gc.get_referents(obj):
+                    if id(ref) not in seen and not isinstance(ref, type):
+                        seen.add(id(ref))
+                        stack.append(ref)
+            return found
+
+        featurizer = Featurizer(TRAIN_TEXTS, [SCORED_TEXTS], STOPLIST)
+        assert token_lists(featurizer) == []  # nothing is tokenized before the first count
+        for remove_stopwords in (first, not first):
+            config = RepresentationConfig(1, 2, "tf", remove_stopwords)
+            build_vocabulary(featurizer.train, config, STOPLIST)
+            kept = token_lists(featurizer)
+            if remove_stopwords == first:
+                # One setting counted: the texts' tokens, unfiltered, are kept for the other.
+                assert kept == [[tokenize(text) for text in TRAIN_TEXTS + SCORED_TEXTS]]
+        assert kept == []
+
     def test_all_cells_tokenize_each_text_once(self, monkeypatch):
         calls = Counter()
         original = textopt.textrep.tokenize

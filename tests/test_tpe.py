@@ -141,6 +141,28 @@ class TestFitCategorical:
                 assert drawn == expected
                 assert ours.bit_generator.state == theirs.bit_generator.state
 
+    def test_int_range_fitted_on_itself_as_a_categorical_of_its_integers(self):
+        ints = IntRange(2, 6)
+        domains = (ints, Categorical(ints.choices))
+        spaces = [define_space([ParamNode("k", domain)]) for domain in domains]
+        rng = np.random.default_rng(3)
+        history = [
+            TrialRecord({"k": int(rng.integers(2, 7))}, float(rng.random())) for _ in range(15)
+        ]
+        models = [fit_node_models(space, history, smoothing=1.0)["k"] for space in spaces]
+        assert models[0].domain is ints
+        assert models[0].weights.tolist() == models[1].weights.tolist()
+        weights = fit_categorical([2, 2, 5], ints, 1.0).weights.tolist()
+        assert weights == [3 / 8, 1 / 8, 1 / 8, 2 / 8, 1 / 8]
+        draws = []
+        for space, model in zip(spaces, models):
+            rng = np.random.default_rng(9)
+            drawn = [sample_candidate(space, {"k": model}, rng)["k"] for _ in range(40)]
+            params = TpeParams(n_startup=5, n_candidates=8)
+            draws.append((drawn, [suggest(space, history, params, rng) for _ in range(5)]))
+        assert draws[0] == draws[1]
+        assert all(type(k) is int for k in draws[0][0])
+
 
 def simpson_integral(model: ParzenContinuous, n_points: int = 10_001) -> float:
     from scipy.integrate import simpson
@@ -714,10 +736,7 @@ class TestBatchScoring:
         for space in (first, second, first):
             models = fit_node_models(space, [record], smoothing=1.0)
             for node in space.nodes:
-                domain = node.domain
-                if isinstance(domain, IntRange):
-                    domain = domain.as_categorical
-                expected = fit_categorical([record.assignment[node.name]], domain, 1.0)
+                expected = fit_categorical([record.assignment[node.name]], node.domain, 1.0)
                 assert models[node.name].weights.tolist() == expected.weights.tolist()
         # A trial is encoded once per space it is fitted under in turn.
         calls = []

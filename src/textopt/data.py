@@ -84,8 +84,13 @@ def split_corpus(
     n = len(corpus)
     if n < 2:
         raise ValueError(f"cannot split a corpus of {n} document(s)")
-    order = np.random.default_rng(seed).permutation(n)
     n_dev = int(np.ceil(dev_fraction * n))
+    if not 0 < n_dev < n:
+        raise ValueError(
+            f"dev_fraction {dev_fraction} splits {n} documents into {n - n_dev} training "
+            f"and {n_dev} dev documents; both parts need at least one"
+        )
+    order = np.random.default_rng(seed).permutation(n)
     dev = LabeledCorpus.from_pairs(corpus.documents[i] for i in order[:n_dev])
     train = LabeledCorpus.from_pairs(corpus.documents[i] for i in order[n_dev:])
     return train, dev

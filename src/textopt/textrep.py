@@ -8,28 +8,31 @@ indices assigned in lexicographic n-gram order.
 
 All featurization goes through a ``Featurizer``: a training corpus plus any
 texts to be scored against it, split into parts, which are row handles.  It
-tokenizes each text once, drops the tokens once both stopword settings are
-counted, and keeps, per stopword setting, one CSR count matrix over every
-training n-gram of its lengths (1 to 3 unless built for one range) in
-lexicographic column order, with each column's document frequency, idf and
-n-gram length.  The matrix is counted in one pass: each text's n-grams of
-every length form one list, the training n-grams are sorted once, and a
-column's length is read from its n-gram (tokens hold no spaces).  N-grams
-of different lengths never coincide, so representation n_min..n_max is the
-columns of those lengths in the same order; its ``Vocabulary`` holds their
-numbers.  Each call selects them and weights: tf is the counts, binary
-their indicator, and tf-idf the counts times the idf.  ``build_vocabulary``
-takes a featurizer's training part and ``vectorize_corpus`` any of its parts.
+tokenizes each text once, into token ids ranked in string order; stopword
+removal filters the ids, so both stopword settings share one tokenization.
+Per stopword setting it keeps one CSR count matrix over every training
+n-gram of its lengths (1 to 3 unless built for one range) in lexicographic
+column order, with each column's document frequency, idf and n-gram length.
+Each n-gram occurrence is one int64 key whose numeric order is the n-grams'
+string order (see ``_Grams``): the distinct training keys are the columns,
+and one COO to CSR conversion counts them.  N-grams of different lengths
+never coincide, so representation n_min..n_max is the columns of those
+lengths in the same order; its ``Vocabulary`` holds their numbers and makes
+their strings only when its ``entries`` are first read.  Each call selects
+the columns and weights: tf is the counts, binary their indicator, and
+tf-idf the counts times the idf.  ``build_vocabulary`` takes a featurizer's
+training part and ``vectorize_corpus`` any of its parts.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import repeat
+from itertools import count
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -40,6 +43,7 @@ WEIGHTING_SCHEMES = ("tf", "tfidf", "binary")
 
 # Word characters minus underscore: Unicode alphanumeric runs.
 _TOKEN_PATTERN = re.compile(r"[^\W_]+")
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -66,12 +70,13 @@ class Vocabulary:
     """N-gram index with document frequencies, built from a training corpus.
 
     Index i is column ``columns[i]`` of a featurizer's count matrix, whose
-    n-grams and document frequencies are ``grams`` and ``doc_freq``; it keeps
-    those, not the featurizer or its counts.  ``entries`` is made on first read.
+    n-gram keys and document frequencies are ``grams`` and ``doc_freq``; it
+    keeps those, not the featurizer or its counts.  ``entries``, and with it
+    every n-gram string, is made on first read.
     """
 
     def __init__(
-        self, grams: list[str], doc_freq: np.ndarray, columns: np.ndarray, n_docs: int
+        self, grams: _Grams, doc_freq: np.ndarray, columns: np.ndarray, n_docs: int
     ) -> None:
         self._grams = grams
         self._doc_freq = doc_freq
@@ -85,7 +90,7 @@ class Vocabulary:
     @cached_property
     def entries(self) -> dict[str, tuple[int, int]]:
         """N-gram -> (index, document frequency)."""
-        grams = map(self._grams.__getitem__, self.columns.tolist())
+        grams = self._grams.strings(self.columns)
         return dict(zip(grams, enumerate(self._doc_freq[self.columns].tolist())))
 
     def __eq__(self, other: object) -> bool:
@@ -138,22 +143,42 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     return frozenset(line.strip() for line in text.splitlines() if line.strip())
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> list[str]:
-    """Space-joined windows of n consecutive tokens, in text order."""
-    if n == 1:
-        return list(tokens)
-    return [" ".join(window) for window in zip(*(tokens[i:] for i in range(n)))]
-
-
 def _idf(n_docs: int, doc_freq: int) -> float:
     return math.log((1.0 + n_docs) / (1.0 + doc_freq)) + 1.0
 
 
+def _key_base(n_words: int) -> int:
+    """Base of the n-gram keys over ``n_words`` distinct tokens: digit 0 pads, id i is i + 1."""
+    return n_words + 1
+
+
+@dataclass(frozen=True)
+class _Grams:
+    """N-grams as int64 keys: token ids + 1 as three digits in ``base``, zero-padded.
+
+    Token ids rank the tokens in string order, and every token character
+    sorts above the space that joins an n-gram, so the keys' numeric order is
+    the strings' lexicographic order.
+    """
+
+    keys: np.ndarray  # ascending, one per column
+    words: list[str]  # the distinct tokens, by id
+    base: int
+
+    def strings(self, columns: np.ndarray) -> list[str]:
+        """The space-joined n-grams of ``columns``."""
+        keys = self.keys[columns]
+        words = ["", *self.words]  # digit 0, the padding, joins nothing
+        digits = (keys // self.base**2, keys // self.base % self.base, keys % self.base)
+        tokens = zip(*(map(words.__getitem__, d.tolist()) for d in digits))
+        return [" ".join(filter(None, gram)) for gram in tokens]
+
+
 @dataclass(frozen=True)
 class _Counts:
-    """Counts of every training n-gram of lengths 1 to 3, columns in lexicographic order."""
+    """Counts of every training n-gram of the featurizer's lengths, columns in lexicographic order."""
 
-    grams: list[str]
+    grams: _Grams
     lengths: np.ndarray  # n-gram length per column
     matrix: scipy.sparse.csr_matrix  # every text of the featurizer
     doc_freq: np.ndarray  # training document frequency per column
@@ -177,11 +202,14 @@ class Featurizer:
 
     ``parts`` holds the training part first, then each scored set as given.
     Per stopword setting, one count matrix over the training n-grams of
-    lengths ``lengths`` (n_min, n_max), counted in one pass over all of
-    them, is computed on first use and kept, as is each (n_min, n_max,
-    stopwords) vocabulary within them: the column numbers of its lengths.
-    Tokens are made on first use and dropped once both settings are
-    counted.  A featurizer made for one representation counts only its
+    lengths ``lengths`` (n_min, n_max), keyed as integers and counted in one
+    pass over all of them, is computed on first use and kept, as is each
+    (n_min, n_max, stopwords) vocabulary within them: the column numbers of
+    its lengths.  The texts are tokenized on the first count, into one id
+    array kept until both settings are counted; the distinct tokens are kept
+    once, for both settings and every vocabulary.  More than 2,097,150
+    distinct tokens raise ``ValueError``: their 3-gram keys would not fit in
+    int64.  A featurizer made for one representation counts only its
     lengths; the columns are the same either way.
     """
 
@@ -206,7 +234,12 @@ class Featurizer:
             self._texts.extend(texts)
             self._bounds.append(len(self._texts))
         self.stoplist = stoplist
-        self._tokens: list[list[str]] | None = None
+        # Token ids of every text end to end, and each text's token count: set
+        # on first count, dropped once both settings are counted.
+        self._ids: np.ndarray | None = None
+        self._sizes: np.ndarray | None = None
+        self._words: list[str] = []  # the distinct tokens, by id
+        self._base = 0  # of the n-gram keys
         self._matrices: dict[bool, _Counts] = {}
         self._vocabs: dict[tuple[int, int, bool], Vocabulary] = {}
 
@@ -220,39 +253,77 @@ class Featurizer:
     def train(self) -> Texts:
         return Texts(self, 0)
 
+    def _tokenize(self) -> None:
+        """Map every text's tokens to ids ranked in string order, one text at a time."""
+        first_seen: dict[str, int] = {}
+        ids = array("q")
+        sizes = []
+        for text in self._texts:
+            tokens = tokenize(text)
+            first_seen.update(zip(set(tokens).difference(first_seen), count(len(first_seen))))
+            ids.extend(map(first_seen.__getitem__, tokens))
+            sizes.append(len(tokens))
+        words = sorted(first_seen)
+        base = _key_base(len(words))
+        if base**3 > _INT64_MAX:
+            raise ValueError(f"{len(words)} distinct tokens are too many to key 3-grams as int64")
+        rank = np.empty(len(words), dtype=np.int64)
+        rank[np.fromiter(map(first_seen.__getitem__, words), np.int64, len(words))] = np.arange(len(words))
+        self._words, self._base = words, base
+        self._ids = rank[np.frombuffer(ids, dtype=np.int64)]
+        self._sizes = np.array(sizes, dtype=np.int64)
+
+    def _gram_keys(self, remove_stopwords: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Key and text number of every n-gram occurrence of the featurizer's lengths."""
+        ids, sizes, base = self._ids, self._sizes, self._base
+        text_of = np.repeat(np.arange(len(sizes)), sizes)
+        if remove_stopwords:
+            kept = ~np.array([word in self.stoplist for word in self._words], dtype=bool)[ids]
+            ids, text_of = ids[kept], text_of[kept]
+            sizes = np.bincount(text_of, minlength=len(sizes))
+        # Tokens from each position to the end of its text: an n-gram starts where n fit.
+        left = np.cumsum(sizes)[text_of] - np.arange(len(ids))
+        digits = ids + 1
+        keys, rows = [], []
+        for n in range(self.lengths[0], self.lengths[1] + 1):
+            at = np.flatnonzero(left >= n)
+            key = digits[at] * base**2
+            for j in range(1, n):
+                key += digits[at + j] * base ** (2 - j)
+            keys.append(key)
+            rows.append(text_of[at])
+        return np.concatenate(keys), np.concatenate(rows)
+
     def _counts(self, remove_stopwords: bool) -> _Counts:
         if remove_stopwords not in self._matrices:
-            if self._tokens is None:
-                self._tokens = [tokenize(text) for text in self._texts]
-            tokens = self._tokens
-            if remove_stopwords:
-                tokens = [[t for t in doc if t not in self.stoplist] for doc in tokens]
-            ns = range(self.lengths[0], self.lengths[1] + 1)
-            doc_grams = [[gram for n in ns for gram in _ngrams(doc, n)] for doc in tokens]
-            grams = sorted(set().union(*doc_grams[: self.n_train]))
-            column = dict(zip(grams, range(len(grams))))
-            columns: list[int] = []
-            sizes: list[int] = []
-            for doc in doc_grams:
-                columns.extend(map(column.get, doc, repeat(-1)))
-                sizes.append(len(doc))
-            del tokens, doc_grams, column
-            cols = np.asarray(columns, dtype=np.int64)
-            rows = np.repeat(np.arange(len(sizes)), sizes)
-            kept = cols >= 0
+            if self._ids is None:
+                self._tokenize()
+            keys, rows = self._gram_keys(remove_stopwords)
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            del keys
+            # The columns are the distinct training keys, in ascending order.
+            trained = np.zeros(len(distinct), dtype=bool)
+            trained[inverse[rows < self.n_train]] = True
+            columns = distinct[trained]
+            kept = trained[inverse]
+            cols = (np.cumsum(trained) - 1)[inverse]
+            del distinct, inverse
             # COO to CSR sums repeated (row, column) pairs and sorts each row's columns.
             counts = scipy.sparse.csr_matrix(
-                (np.ones(int(kept.sum())), (rows[kept], cols[kept])), shape=(len(sizes), len(grams))
+                (np.ones(int(kept.sum())), (rows[kept], cols[kept])),
+                shape=(len(self._sizes), len(columns)),
             )
-            # Tokens hold no spaces, so an n-gram's length is its spaces plus one.
-            lengths = np.array([gram.count(" ") + 1 for gram in grams], dtype=np.int64)
-            doc_freq = np.bincount(counts.indices[: counts.indptr[self.n_train]], minlength=len(grams))
+            doc_freq = np.bincount(counts.indices[: counts.indptr[self.n_train]], minlength=len(columns))
             # math.log per distinct frequency, so values equal count * _idf(...) exactly.
             distinct, inverse = np.unique(doc_freq, return_inverse=True)
             idf = np.array([_idf(self.n_train, int(df)) for df in distinct], dtype=np.float64)
+            base = self._base
+            # A key's lower digits are nonzero where the n-gram has a second and a third token.
+            lengths = 1 + (columns // base % base > 0) + (columns % base > 0)
+            grams = _Grams(columns, self._words, base)
             self._matrices[remove_stopwords] = _Counts(grams, lengths, counts, doc_freq, idf[inverse])
-            if len(self._matrices) == 2:  # both settings counted: tokens are not read again
-                self._tokens = None
+            if len(self._matrices) == 2:  # both settings counted: the ids are not read again
+                self._ids = self._sizes = None
         return self._matrices[remove_stopwords]
 
 

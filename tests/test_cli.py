@@ -120,6 +120,16 @@ class TestOptimize:
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}: line 1 has no tab separator\n"
 
+    def test_dev_fraction_leaving_no_training_documents_rejected(self, tmp_path, capsys):
+        path = tmp_path / "train.tsv"
+        write_tsv(LabeledCorpus.from_pairs([("a b", "x"), ("b c", "y"), ("c d", "x")]), path)
+        args = ["optimize", "--train", str(path), "--dev-fraction", "0.7", "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "error: dev_fraction 0.7 splits 3 documents into 0 training and 3 dev documents; "
+            "both parts need at least one\n"
+        )
+
     def test_condition_on_continuous_parent_rejected(self, corpus_files, tmp_path, capsys):
         space = textopt.serialize_space(textopt.text_rep_space())
         for item in space:

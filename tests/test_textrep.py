@@ -21,7 +21,6 @@ from textopt.textrep import (
     Featurizer,
     RepresentationConfig,
     _idf,
-    _ngrams,
     build_vocabulary,
     load_stopwords,
     tokenize,
@@ -29,6 +28,13 @@ from textopt.textrep import (
 )
 
 UNIGRAMS = RepresentationConfig(1, 1, "tf", False)
+
+
+def _ngrams(tokens: Sequence[str], n: int) -> list[str]:
+    """Space-joined windows of n consecutive tokens, in text order."""
+    if n == 1:
+        return list(tokens)
+    return [" ".join(window) for window in zip(*(tokens[i:] for i in range(n)))]
 
 
 def extract_ngrams(
@@ -262,6 +268,20 @@ def assignment_of(config: RepresentationConfig, regularizer: str) -> dict:
 OBJECTIVE_DIGEST = "a5945e08db92b98e8613232afd6a713295606bd3aed65a99df02e20483525762"
 
 
+def reachable(root) -> list:
+    """Every object reachable from ``root`` through references, classes excluded."""
+    seen, stack, found = {id(root)}, [root], []
+    while stack:
+        obj = stack.pop()
+        found.append(obj)
+        # The collector does not visit the keys of a dict whose keys are all strings.
+        for ref in gc.get_referents(obj) + (list(obj) if isinstance(obj, dict) else []):
+            if id(ref) not in seen and not isinstance(ref, type):
+                seen.add(id(ref))
+                stack.append(ref)
+    return found
+
+
 def oracle(train_texts, texts, config, stoplist):
     """Vocabulary {gram: (index, df)} and (indices, values) per text, from extract_ngrams."""
 
@@ -435,29 +455,78 @@ class TestFeaturizer:
 
     @pytest.mark.parametrize("first", [False, True])
     def test_tokens_dropped_once_both_settings_are_counted(self, first):
-        def token_lists(featurizer) -> list[list]:
-            """Lists of token lists reachable from ``featurizer``'s own objects."""
-            seen, stack, found = {id(featurizer)}, [featurizer], []
-            while stack:
-                obj = stack.pop()
-                if isinstance(obj, list) and obj and all(isinstance(doc, list) for doc in obj):
-                    found.append(obj)
-                for ref in gc.get_referents(obj):
-                    if id(ref) not in seen and not isinstance(ref, type):
-                        seen.add(id(ref))
-                        stack.append(ref)
-            return found
+        tokens = [token for text in TRAIN_TEXTS + SCORED_TEXTS for token in tokenize(text)]
+        words = sorted(set(tokens))
+        ids = [words.index(token) for token in tokens]
+        kept_ids = [i for i, token in zip(ids, tokens) if token not in STOPLIST]
+
+        def per_token(featurizer) -> list:
+            """The texts' tokens, token lists or token ids (either setting) reachable from ``featurizer``."""
+            return [
+                obj
+                for obj in reachable(featurizer)
+                if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.tolist() in (ids, kept_ids)
+                or isinstance(obj, list)
+                and obj
+                and (obj == tokens or all(isinstance(doc, list) for doc in obj))
+            ]
 
         featurizer = Featurizer(TRAIN_TEXTS, [SCORED_TEXTS], STOPLIST)
-        assert token_lists(featurizer) == []  # nothing is tokenized before the first count
+        assert per_token(featurizer) == []  # nothing is tokenized before the first count
         for remove_stopwords in (first, not first):
             config = RepresentationConfig(1, 2, "tf", remove_stopwords)
             build_vocabulary(featurizer.train, config, STOPLIST)
-            kept = token_lists(featurizer)
+            kept = per_token(featurizer)
             if remove_stopwords == first:
-                # One setting counted: the texts' tokens, unfiltered, are kept for the other.
-                assert kept == [[tokenize(text) for text in TRAIN_TEXTS + SCORED_TEXTS]]
+                # One setting counted: the texts' token ids, unfiltered and ranked in
+                # string order, are kept for the other.
+                assert [a.tolist() for a in kept] == [ids]
         assert kept == []
+
+    def test_no_ngram_string_is_made_before_entries_are_read(self):
+        featurizer = Featurizer(TRAIN_TEXTS, [SCORED_TEXTS], STOPLIST)
+        for config in ALL_CELLS:
+            vocab = build_vocabulary(featurizer.train, config, STOPLIST)
+            for part in featurizer.parts:
+                vectorize_corpus(part, vocab, config, STOPLIST)
+        inputs = {id(s) for s in [*TRAIN_TEXTS, *SCORED_TEXTS, *STOPLIST]}
+        grams = {
+            gram
+            for text in TRAIN_TEXTS
+            for remove_stopwords in (False, True)
+            for gram in extract_ngrams(tokenize(text), 1, 3, remove_stopwords, STOPLIST)
+        }
+
+        def held() -> list[str]:
+            """N-gram strings reachable from the featurizer, other than its inputs."""
+            return [
+                obj
+                for obj in reachable(featurizer)
+                if isinstance(obj, str) and id(obj) not in inputs and obj in grams
+            ]
+
+        # Only the token table: each training word once, for both settings and every vocabulary.
+        assert sorted(held()) == sorted({gram for gram in grams if " " not in gram})
+        widest = build_vocabulary(featurizer.train, RepresentationConfig(1, 3, "tf", True), STOPLIST)
+        assert set(widest.entries) <= set(held())
+
+    def test_keys_that_could_wrap_int64_rejected(self, monkeypatch):
+        def featurized() -> list:
+            featurizer = Featurizer(TRAIN_TEXTS, [SCORED_TEXTS], STOPLIST)
+            out = []
+            for config in ALL_CELLS:
+                vocab = build_vocabulary(featurizer.train, config, STOPLIST)
+                matrix = vectorize_corpus(featurizer.parts[1], vocab, config, STOPLIST).matrix
+                out.append((vocab.entries, matrix.indptr.tolist(), matrix.indices.tolist(), matrix.data.tolist()))
+            return out
+
+        expected = featurized()
+        # The widest base whose cube is within int64 keys the same n-grams in the same order.
+        monkeypatch.setattr(textopt.textrep, "_key_base", lambda n_words: 2**21 - 1)
+        assert featurized() == expected
+        monkeypatch.setattr(textopt.textrep, "_key_base", lambda n_words: 2**21)  # cube 2**63
+        with pytest.raises(ValueError, match="too many to key 3-grams as int64"):
+            featurized()
 
     def test_all_cells_tokenize_each_text_once(self, monkeypatch):
         calls = Counter()

@@ -461,7 +461,7 @@ class TestFeaturizer:
         kept_ids = [i for i, token in zip(ids, tokens) if token not in STOPLIST]
 
         def per_token(featurizer) -> list:
-            """The texts' tokens, token lists or token ids (either setting) reachable from ``featurizer``."""
+            """The texts' tokens, token lists or token ids (either setting) in ``featurizer``."""
             return [
                 obj
                 for obj in reachable(featurizer)
@@ -517,7 +517,8 @@ class TestFeaturizer:
             for config in ALL_CELLS:
                 vocab = build_vocabulary(featurizer.train, config, STOPLIST)
                 matrix = vectorize_corpus(featurizer.parts[1], vocab, config, STOPLIST).matrix
-                out.append((vocab.entries, matrix.indptr.tolist(), matrix.indices.tolist(), matrix.data.tolist()))
+                arrays = (matrix.indptr, matrix.indices, matrix.data)
+                out.append((vocab.entries, *(a.tolist() for a in arrays)))
             return out
 
         expected = featurized()

@@ -69,7 +69,8 @@ def main() -> int:
                         help="a git checkout to benchmark; repeatable (default: this repository)")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--out", type=Path, default=ROOT, help="directory for the BENCH files")
     args = parser.parse_args()
     checkouts = [path.resolve() for path in args.checkout or [ROOT]]

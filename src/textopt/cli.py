@@ -80,7 +80,7 @@ def _load_space_arg(args: argparse.Namespace) -> ConfigSpace:
         raise InputError(f"space file not found: {args.space}")
     try:
         return load_space(args.space)
-    except ValueError as exc:
+    except (ValueError, yaml.YAMLError) as exc:
         raise InputError(f"invalid space file {args.space}: {exc}") from exc
 
 
@@ -111,7 +111,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         smoothing=args.smoothing,
         seed=args.seed,
     )
-    objective = make_objective(train_corpus, dev_corpus, stoplist)
 
     rows: list[str] = [",".join(TRIALS_HEADER)]
     timings: list[str] = ["t,wall_time_s"]
@@ -125,7 +124,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         timings.append(f"{t},{elapsed:.6f}")
         log.info("trial %d: dev_accuracy=%s best=%s", t, record.y, best)
 
-    state = run(space, objective, args.trials, params, on_trial=on_trial)
+    # No name here holds the objective, so its featurizer is freed before the refit counts.
+    state = run(
+        space, make_objective(train_corpus, dev_corpus, stoplist), args.trials, params,
+        on_trial=on_trial,
+    )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -158,7 +161,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def _load_config_assignment(path: str) -> dict:
     if not Path(path).is_file():
         raise InputError(f"config file not found: {path}")
-    raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise InputError(f"invalid config file {path}: {exc}") from exc
     if isinstance(raw, dict) and isinstance(raw.get("assignment"), dict):
         return raw["assignment"]
     if isinstance(raw, dict):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import yaml
@@ -248,19 +248,6 @@ DATASETS: tuple[DatasetInfo, ...] = (
         ),
     ),
 )
-
-
-def save_manifest(datasets: Sequence[DatasetInfo], path: str | Path) -> None:
-    items = [
-        {
-            "name": d.name,
-            "url": d.url,
-            "counts": {"train": d.n_train, "dev": d.n_dev, "test": d.n_test},
-            "notes": d.notes,
-        }
-        for d in datasets
-    ]
-    Path(path).write_text(yaml.safe_dump(items, sort_keys=False, width=88), encoding="utf-8")
 
 
 def load_manifest(path: str | Path) -> tuple[DatasetInfo, ...]:

@@ -38,18 +38,14 @@ def _is_bool(value: Value) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
-def value_equal(a: Value, b: Value) -> bool:
-    """Equality that keeps bools, numpy bools included, distinct from ints (True is not 1 here)."""
-    return a == b and _is_bool(a) == _is_bool(b)
-
-
 @dataclass(frozen=True)
 class Categorical:
     """Finite ordered set of symbolic choices."""
 
     choices: tuple[Value, ...]
     # Choice positions keyed by (is a bool, value): two keys collide exactly
-    # when value_equal holds (NaN aside), so True and 1 stay apart.
+    # when the values are equal and both or neither are bools (numpy bools
+    # included; NaN aside), so True and 1 stay apart.
     _index: dict[tuple[bool, Value], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -447,12 +443,6 @@ def serialize_space(space: ConfigSpace) -> list[dict[str, Any]]:
             }
         items.append(item)
     return items
-
-
-def save_space(space: ConfigSpace, path: str | Path) -> None:
-    Path(path).write_text(
-        yaml.safe_dump(serialize_space(space), sort_keys=False), encoding="utf-8"
-    )
 
 
 def load_space(path: str | Path) -> ConfigSpace:

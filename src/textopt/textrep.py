@@ -11,8 +11,8 @@ texts to be scored against it, split into parts, which are row handles.  It
 tokenizes each text once, into token ids ranked in string order; stopword
 removal filters the ids, so both stopword settings share one tokenization.
 Per stopword setting it keeps one CSR count matrix over every training
-n-gram of its lengths (1 to 3 unless built for one range) in lexicographic
-column order, with each column's document frequency, idf and n-gram length.
+n-gram of lengths 1 to 3 in lexicographic column order, with each
+column's document frequency, idf and n-gram length.
 Each n-gram occurrence is one int64 key whose numeric order is the n-grams'
 string order (see ``_Grams``): the distinct training keys are the columns,
 and one COO to CSR conversion counts them.  N-grams of different lengths
@@ -176,7 +176,7 @@ class _Grams:
 
 @dataclass(frozen=True)
 class _Counts:
-    """Counts of every training n-gram of the featurizer's lengths, columns in lexicographic order."""
+    """Counts of every training n-gram of lengths 1 to 3, columns in lexicographic order."""
 
     grams: _Grams
     lengths: np.ndarray  # n-gram length per column
@@ -202,15 +202,14 @@ class Featurizer:
 
     ``parts`` holds the training part first, then each scored set as given.
     Per stopword setting, one count matrix over the training n-grams of
-    lengths ``lengths`` (n_min, n_max), keyed as integers and counted in one
-    pass over all of them, is computed on first use and kept, as is each
+    lengths 1 to 3, keyed as integers and counted in one pass over all of
+    them, is computed on first use and kept, as is each
     (n_min, n_max, stopwords) vocabulary within them: the column numbers of
     its lengths.  The texts are tokenized on the first count, into one id
     array kept until both settings are counted; the distinct tokens are kept
     once, for both settings and every vocabulary.  More than 2,097,150
     distinct tokens raise ``ValueError``: their 3-gram keys would not fit in
-    int64.  A featurizer made for one representation counts only its
-    lengths; the columns are the same either way.
+    int64.
     """
 
     def __init__(
@@ -218,13 +217,9 @@ class Featurizer:
         train_texts: Iterable[str],
         scored: Iterable[Iterable[str]] = (),
         stoplist: frozenset[str] = frozenset(),
-        lengths: tuple[int, int] = (1, 3),
     ) -> None:
         if isinstance(train_texts, str):
             raise TypeError("train_texts must be a collection of texts, not a str")
-        if not 1 <= lengths[0] <= lengths[1] <= 3:
-            raise ValueError(f"need 1 <= n_min <= n_max <= 3, got lengths {lengths}")
-        self.lengths = lengths
         self._texts = list(train_texts)
         self.n_train = len(self._texts)
         self._bounds = [0, self.n_train]
@@ -274,7 +269,7 @@ class Featurizer:
         self._sizes = np.array(sizes, dtype=np.int64)
 
     def _gram_keys(self, remove_stopwords: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Key and text number of every n-gram occurrence of the featurizer's lengths."""
+        """Key and text number of every n-gram occurrence of lengths 1 to 3."""
         ids, sizes, base = self._ids, self._sizes, self._base
         text_of = np.repeat(np.arange(len(sizes)), sizes)
         if remove_stopwords:
@@ -285,7 +280,7 @@ class Featurizer:
         left = np.cumsum(sizes)[text_of] - np.arange(len(ids))
         digits = ids + 1
         keys, rows = [], []
-        for n in range(self.lengths[0], self.lengths[1] + 1):
+        for n in range(1, 4):
             at = np.flatnonzero(left >= n)
             key = digits[at] * base**2
             for j in range(1, n):
@@ -351,12 +346,6 @@ def build_vocabulary(
         raise ValueError(f"vocabulary needs the training part, got scored part {part.part}")
     if not part:
         raise ValueError("empty corpus")
-    n_min, n_max = featurizer.lengths
-    if not n_min <= config.n_min <= config.n_max <= n_max:
-        raise ValueError(
-            f"n-grams {config.n_min}..{config.n_max} are outside "
-            f"the featurizer's {n_min}..{n_max}"
-        )
     key = (config.n_min, config.n_max, config.remove_stopwords)
     if key not in featurizer._vocabs:
         counts = featurizer._counts(config.remove_stopwords)

@@ -151,12 +151,6 @@ class ParzenCategorical:
         cdf /= cdf[-1]
         object.__setattr__(self, "_cdf", cdf.tolist())
 
-    def prob(self, value: Value) -> float:
-        idx = self.domain.code(value)
-        if idx is None:
-            raise ValueError(f"value {value!r} outside domain")
-        return float(self.weights[idx])
-
     def sample_index(self, rng: np.random.Generator) -> int:
         """Index of one draw, with the same value and generator steps as ``rng.choice(k, p=weights)``.
 
@@ -164,9 +158,6 @@ class ParzenCategorical:
         ``bisect_right`` finds the index ``searchsorted(side="right")`` would.
         """
         return bisect_right(self._cdf, rng.random())
-
-    def sample(self, rng: np.random.Generator) -> Value:
-        return self.domain.choices[self.sample_index(rng)]
 
 
 def fit_categorical(
@@ -336,11 +327,12 @@ def _draw(
 def _densities(
     space: ConfigSpace, populations: Sequence[NodeModels], codes: np.ndarray
 ) -> np.ndarray:
-    """Path density of every code row under each population's models.
+    """Path density of every code row under each population's models, one row per population.
 
-    Each population's densities for a node are evaluated for all rows where
-    it is active at once and multiplied in, so every row's factors are
-    multiplied in node order.
+    Only active nodes contribute a factor, continuous ones in estimation
+    coordinates.  Each population's densities for a node are evaluated for
+    all rows where it is active at once and multiplied in, so every row's
+    factors are multiplied in node order.
     """
     density = np.ones((len(populations), len(codes)))
     for node, column in zip(space.nodes, codes.T):
@@ -360,27 +352,6 @@ def _densities(
     return density
 
 
-def path_densities(
-    space: ConfigSpace, populations: Sequence[NodeModels], candidates: Sequence[Assignment]
-) -> np.ndarray:
-    """Path density of every candidate under each population's models.
-
-    Returns an array of shape (len(populations), len(candidates)).  Only
-    active nodes contribute a factor, continuous ones in estimation
-    coordinates.
-    """
-    return _densities(space, populations, _stack(space, [space.encode(c) for c in candidates]))
-
-
-def path_density(space: ConfigSpace, models: NodeModels, assignment: Assignment) -> float:
-    """Product of per-node densities over the active nodes only.
-
-    Continuous nodes are evaluated in estimation coordinates; inactive nodes
-    contribute no factor.
-    """
-    return float(path_densities(space, [models], [assignment])[0, 0])
-
-
 def ei_score(
     p_below: float | np.ndarray, p_above: float | np.ndarray, gamma: float
 ) -> float | np.ndarray:
@@ -398,13 +369,6 @@ def ei_score(
         raise DegenerateDensityError(f"p_above must be positive, got {above.min()}")
     score = 1.0 / (gamma + (below / above) * (1.0 - gamma))
     return float(score) if score.ndim == 0 else score
-
-
-def sample_candidate(
-    space: ConfigSpace, above_models: NodeModels, rng: np.random.Generator
-) -> Assignment:
-    """Draw one assignment from the above-population densities, root to leaf."""
-    return _draw(space, above_models, rng)[0]
 
 
 def suggest(

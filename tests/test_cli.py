@@ -6,15 +6,18 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 import yaml
 
 import textopt
+import textopt.cli
 from textopt.cli import TRIALS_HEADER, build_parser, main
 from textopt.data import LabeledCorpus, load_tsv, split_corpus, synthetic_corpus, write_tsv
 from textopt.pipeline import evaluate_assignment
+from textopt.space import serialize_space, text_rep_space
 from textopt.textrep import load_stopwords
 from textopt.tpe import TpeParams
 
@@ -131,7 +134,7 @@ class TestOptimize:
         )
 
     def test_condition_on_continuous_parent_rejected(self, corpus_files, tmp_path, capsys):
-        space = textopt.serialize_space(textopt.text_rep_space())
+        space = serialize_space(text_rep_space())
         for item in space:
             if item["name"] == "remove_stopwords":
                 item["condition"] = {"parent": "strength", "values": [1.0]}
@@ -142,6 +145,35 @@ class TestOptimize:
         assert "node 'remove_stopwords': condition on continuous parent 'strength'" in (
             capsys.readouterr().err
         )
+
+    def test_malformed_space_yaml_rejected(self, corpus_files, tmp_path, capsys):
+        path = tmp_path / "broken.space"
+        path.write_text("- name: [unclosed\n")
+        code = main(optimize_args(corpus_files, tmp_path / "out", extra=["--space", str(path)]))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid space file {path}: ")
+
+    def test_search_objective_freed_before_the_refit(self, corpus_files, tmp_path, monkeypatch):
+        objectives = []
+        make_objective = textopt.cli.make_objective
+        evaluate_assignment = textopt.cli.evaluate_assignment
+
+        def held_weakly(*args, **kwargs):
+            objective = make_objective(*args, **kwargs)
+            objectives.append(weakref.ref(objective))
+            return objective
+
+        alive_at_refit = []
+
+        def refit(*args, **kwargs):
+            alive_at_refit.append(objectives[0]() is not None)
+            return evaluate_assignment(*args, **kwargs)
+
+        monkeypatch.setattr(textopt.cli, "make_objective", held_weakly)
+        monkeypatch.setattr(textopt.cli, "evaluate_assignment", refit)
+        extra = ["--test", str(corpus_files["test"])]
+        assert main(optimize_args(corpus_files, tmp_path / "out", trials=3, extra=extra)) == 0
+        assert alive_at_refit == [False]
 
     def test_dev_fraction_split(self, corpus_files, tmp_path):
         out = tmp_path / "fraction"
@@ -236,6 +268,20 @@ class TestEval:
         )
         assert code == 2
         assert "missing active node 'tolerance'" in capsys.readouterr().err
+
+    def test_malformed_config_yaml_rejected(self, corpus_files, tmp_path, capsys):
+        config = tmp_path / "broken.config"
+        config.write_text("- name: [unclosed\n")
+        code = main(
+            [
+                "eval",
+                "--train", str(corpus_files["train"]),
+                "--dev", str(corpus_files["dev"]),
+                "--config", str(config),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid config file {config}: ")
 
     def test_test_set_scored(self, corpus_files, tmp_path, capsys):
         config = self.write_config(tmp_path, self.full_assignment())

@@ -22,11 +22,9 @@ from textopt.space import (
     enumerate_assignments,
     load_space,
     sample_prior,
-    save_space,
     serialize_space,
     text_rep_space,
     validate_assignment,
-    value_equal,
 )
 
 
@@ -189,7 +187,6 @@ class TestCategorical:
     def test_numpy_bool_is_a_bool(self):
         assert Categorical((True, False)).code(np.True_) == 0
         assert Categorical((1, 2)).code(np.True_) is None
-        assert value_equal(np.True_, True) and not value_equal(np.True_, 1)
         bools = define_space([ParamNode("b", Categorical((True, False)))])
         ints = define_space([ParamNode("c", Categorical((1, 2)))])
         assert validate_assignment(bools, {"b": np.True_}) == []
@@ -376,7 +373,7 @@ class TestSerialization:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "space.yaml"
-        save_space(text_rep_space(), path)
+        path.write_text(yaml.safe_dump(serialize_space(text_rep_space())), encoding="utf-8")
         assert load_space(path) == text_rep_space()
 
     def test_shipped_space_file_matches_builtin(self):

@@ -393,16 +393,15 @@ class TestFeaturizer:
                 digest.update(objective(assignment_of(config, regularizer)).hex().encode())
         assert digest.hexdigest() == OBJECTIVE_DIGEST
 
-    def test_one_range_featurizer_gives_the_shared_matrices(self):
+    def test_fresh_featurizer_per_cell_gives_the_shared_matrices(self):
+        # A fresh featurizer per cell is what evaluate_assignment builds.
         corpus = with_stopwords(synthetic_corpus(120, n_classes=3, vocab_size=80, seed=4), 4)
         train, dev = split_corpus(corpus, 0.25, seed=4)
         stoplist = load_stopwords()
         shared = Featurizer(train.texts, [dev.texts], stoplist)
         for config in ALL_CELLS:
-            one = Featurizer(train.texts, [dev.texts], stoplist, (config.n_min, config.n_max))
+            one = Featurizer(train.texts, [dev.texts], stoplist)
             vocab = build_vocabulary(one.train, config, stoplist)
-            counted = set(one._counts(config.remove_stopwords).lengths.tolist())
-            assert counted == set(range(config.n_min, config.n_max + 1))
             shared_vocab = build_vocabulary(shared.train, config, stoplist)
             assert vocab.size == shared_vocab.size > 0
             assert vocab.entries == shared_vocab.entries  # order and document frequencies
@@ -412,13 +411,6 @@ class TestFeaturizer:
                 assert got.shape == expected.shape
                 for field in ("indptr", "indices", "data"):
                     assert getattr(got, field).tobytes() == getattr(expected, field).tobytes()
-
-    def test_one_range_featurizer_rejects_other_lengths(self):
-        featurizer = Featurizer(TRAIN_TEXTS, (), STOPLIST, (2, 2))
-        with pytest.raises(ValueError, match="outside the featurizer's 2..2"):
-            build_vocabulary(featurizer.train, RepresentationConfig(1, 2, "tf", False), STOPLIST)
-        with pytest.raises(ValueError, match="need 1 <= n_min <= n_max <= 3"):
-            Featurizer(TRAIN_TEXTS, (), STOPLIST, (2, 4))
 
     def test_more_cells_retain_little_more_than_the_widest(self):
         corpus = with_stopwords(synthetic_corpus(300, vocab_size=300, seed=2), 2)

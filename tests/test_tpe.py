@@ -22,7 +22,6 @@ from textopt.space import (
     sample_prior,
     text_rep_space,
     validate_assignment,
-    value_equal,
 )
 from textopt.tpe import (
     MAX_REJECTION_DRAWS,
@@ -35,11 +34,9 @@ from textopt.tpe import (
     fit_categorical,
     fit_continuous,
     fit_node_models,
-    path_densities,
-    path_density,
-    sample_candidate,
     split_history,
     suggest,
+    _densities,
     _draw,
 )
 
@@ -48,6 +45,16 @@ WEIGHT_DOMAIN = Categorical(("tf", "tf-idf", "binary"))
 
 def records(ys):
     return [TrialRecord({"y_only": i}, y) for i, y in enumerate(ys)]
+
+
+def encoded(space, *assignments):
+    """The assignments' code rows, one matrix row each, as the space's encoder gives them."""
+    return np.array([space.encode(a) for a in assignments], dtype=float)
+
+
+def path_density(space, models, assignment):
+    """The assignment's path density under ``models``, through the space's encoder."""
+    return float(_densities(space, [models], encoded(space, assignment))[0, 0])
 
 
 class TestSplitHistory:
@@ -111,7 +118,7 @@ class TestFitCategorical:
     def test_smoothing_keeps_full_support(self):
         domain = Categorical(("x", "y"))
         model = fit_categorical(["x"] * 10**6, domain, smoothing=1.0)
-        assert model.prob("y") > 0.0
+        assert model.weights[domain.code("y")] > 0.0
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(11)
@@ -136,7 +143,7 @@ class TestFitCategorical:
                 model = fit_categorical([int(o) for o in obs], domain, smoothing)
                 seed = int(rng.integers(2**31))
                 ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-                drawn = [model.sample(ours) for _ in range(25)]
+                drawn = [model.sample_index(ours) for _ in range(25)]
                 expected = [int(theirs.choice(k, p=model.weights)) for _ in range(25)]
                 assert drawn == expected
                 assert ours.bit_generator.state == theirs.bit_generator.state
@@ -157,7 +164,7 @@ class TestFitCategorical:
         draws = []
         for space, model in zip(spaces, models):
             rng = np.random.default_rng(9)
-            drawn = [sample_candidate(space, {"k": model}, rng)["k"] for _ in range(40)]
+            drawn = [_draw(space, {"k": model}, rng)[0]["k"] for _ in range(40)]
             params = TpeParams(n_startup=5, n_candidates=8)
             draws.append((drawn, [suggest(space, history, params, rng) for _ in range(5)]))
         assert draws[0] == draws[1]
@@ -250,7 +257,7 @@ class TestPathDensity:
         models = fit_node_models(space, trials, smoothing=1.0)
         a = {"a": "x", "b": "p"}
         assert path_density(space, models, a) == pytest.approx(
-            models["a"].prob("x") * models["b"].prob("p")
+            models["a"].weights[0] * models["b"].weights[0]
         )
 
     def test_inactive_nodes_excluded(self):
@@ -262,7 +269,7 @@ class TestPathDensity:
         )
         models = fit_node_models(space, [], smoothing=1.0)
         # With a=y the child is inactive, so only the root factor remains.
-        assert path_density(space, models, {"a": "y"}) == pytest.approx(models["a"].prob("y"))
+        assert path_density(space, models, {"a": "y"}) == pytest.approx(models["a"].weights[1])
 
     def test_density_ignores_inactive_model_changes(self):
         space = define_space(
@@ -323,7 +330,7 @@ class TestSampleCandidate:
         trials = [TrialRecord({"weighting": "binary"}, 0.9)] * 40
         models = fit_node_models(space, trials, smoothing=1e-6)
         rng = np.random.default_rng(0)
-        draws = [sample_candidate(space, models, rng)["weighting"] for _ in range(200)]
+        draws = [_draw(space, models, rng)[0]["weighting"] for _ in range(200)]
         assert draws.count("binary") == 200
 
     def test_empty_population_gives_valid_prior_style_samples(self):
@@ -337,7 +344,7 @@ class TestSampleCandidate:
         np.testing.assert_allclose(models["a"].weights, [0.5, 0.5])
         rng = np.random.default_rng(4)
         for _ in range(100):
-            candidate = sample_candidate(space, models, rng)
+            candidate = _draw(space, models, rng)[0]
             assert validate_assignment(space, candidate) == []
 
     def test_empirical_frequencies_match_weights(self):
@@ -350,7 +357,7 @@ class TestSampleCandidate:
         models = fit_node_models(space, trials, smoothing=1.0)
         rng = np.random.default_rng(9)
         n = 100_000
-        draws = [sample_candidate(space, models, rng)["w"] for _ in range(n)]
+        draws = [_draw(space, models, rng)[0]["w"] for _ in range(n)]
         for choice, weight in zip(WEIGHT_DOMAIN.choices, models["w"].weights):
             assert abs(draws.count(choice) / n - weight) < 0.01
 
@@ -364,7 +371,7 @@ class TestSampleCandidate:
         models = fit_node_models(space, [], smoothing=1.0)
         rng = np.random.default_rng(8)
         for _ in range(100):
-            candidate = sample_candidate(space, models, rng)
+            candidate = _draw(space, models, rng)[0]
             assert ("b" in candidate) == (candidate["a"] == "x")
 
 
@@ -520,6 +527,11 @@ class TestSuggest:
             assert suggestion == oracle_suggest(space, history, params.gamma, params.smoothing)
 
 
+def value_equal(a, b):
+    """Equality that keeps bools, numpy bools included, distinct from ints (True is not 1 here)."""
+    return a == b and isinstance(a, (bool, np.bool_)) == isinstance(b, (bool, np.bool_))
+
+
 def scalar_active(node, present):
     """Reference activation: a root, or a child whose parent is present with an activating value."""
     cond = node.condition
@@ -539,7 +551,8 @@ def scalar_path_density(space, models, assignment):
         if isinstance(node.domain, Continuous):
             density *= models[node.name].pdf(node.domain.to_internal(value))
         else:
-            density *= models[node.name].prob(value)
+            index = next(i for i, c in enumerate(node.domain.choices) if value_equal(c, value))
+            density *= models[node.name].weights[index]
     return density
 
 
@@ -659,8 +672,9 @@ class TestBatchScoring:
                         assert model.widths.tolist() == reference[name].widths.tolist()
                     else:
                         assert model.weights.tolist() == reference[name].weights.tolist()
-            candidates = [sample_candidate(space, above, rng) for _ in range(64)]
-            batch = ei_score(*path_densities(space, [below, above], candidates), 0.85).tolist()
+            candidates = [_draw(space, above, rng)[0] for _ in range(64)]
+            codes = encoded(space, *candidates)
+            batch = ei_score(*_densities(space, [below, above], codes), 0.85).tolist()
             one_at_a_time = [
                 ei_score(path_density(space, below, c), path_density(space, above, c), 0.85)
                 for c in candidates

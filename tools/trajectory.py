@@ -11,14 +11,18 @@ machine (CPUs this process may use; Python, numpy and scipy versions), the
 commit, the benchmark's git tree, every run's output, and per workload each
 end-to-end metric's median and quartiles over the seeds.  A checkout must
 have no uncommitted change under ``src/``, ``benchmark/`` or
-``BENCHMARK.json``, so that its commit names what ran.  Exits with 1 when a
-run's checks fail or it reports failed trials.
+``BENCHMARK.json``, so that its commit names what ran.  With more than one
+checkout it ends by printing, per workload and end-to-end metric, each
+checkout's median against the first's, the first's quartile distance, and
+the seed pairs each side won.  Exits with 1 when a run's checks fail or it
+reports failed trials.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -61,6 +65,36 @@ def summary(runs: list[dict]) -> dict:
         name: {"unit": metric["unit"], **quartiles([run["metrics"][name]["value"] for run in runs])}
         for name, metric in runs[0]["metrics"].items()
     }
+
+
+def pairwise(runs: list[tuple[str, list[dict]]], better: dict[str, str]) -> list[str]:
+    """One line per later checkout and end-to-end metric, against the first checkout.
+
+    ``runs`` holds (label, that checkout's runs in seed order) per checkout,
+    the first being the base; ``better`` maps each end-to-end metric to
+    "lower" or "higher".  A seed pair is won by the side with the better
+    value; ties count for neither.
+    """
+    (base_label, base_runs), *others = runs
+    lines = []
+    for name, direction in better.items():
+        base = [run["metrics"][name]["value"] for run in base_runs]
+        spread = quartiles(base)
+        sign = 1 if direction == "higher" else -1
+        for label, other_runs in others:
+            if [run["seed"] for run in other_runs] != [run["seed"] for run in base_runs]:
+                raise ValueError(f"{label} and {base_label} ran different seeds")
+            values = [run["metrics"][name]["value"] for run in other_runs]
+            median = quartiles(values)["median"]
+            wins = [sign * (value - b) for b, value in zip(base, values)]
+            won, lost = sum(w > 0 for w in wins), sum(w < 0 for w in wins)
+            change = median / spread["median"] - 1 if spread["median"] else math.nan
+            lines.append(
+                f"{name} ({direction} is better): {label} {median:.6g} against {base_label} "
+                f"{spread['median']:.6g} ({change:+.1%}), {base_label} quartile distance "
+                f"{spread['q3'] - spread['q1']:.6g}; pairs won: {label} {won}, {base_label} {lost}"
+            )
+    return lines
 
 
 def main() -> int:
@@ -115,6 +149,13 @@ def main() -> int:
         path = args.out / f"BENCH_{result['commit']}.json"
         path.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {path}")
+    if len(checkouts) > 1:
+        better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+        for workload in args.workload:
+            compared = [(results[c]["commit"][:7], results[c]["workloads"][workload]["runs"])
+                        for c in checkouts]
+            for line in pairwise(compared, better):
+                print(f"{workload} {line}")
     return 0 if ok else 1
 
 

@@ -1,8 +1,13 @@
-"""Corpus ingestion, deterministic splits, synthetic corpora, dataset manifest.
+"""Corpus ingestion, deterministic splits, synthetic corpora.
 
 Corpora are stored as tab-separated files, one document per line:
 ``label<TAB>text`` with backslash, tab, and newline escaped as ``\\\\``,
-``\\t``, and ``\\n`` so that write/load round trips are byte exact.
+``\\t``, and ``\\n`` so that write/load round trips are byte exact.  Only
+``\\n`` ends a line; any other character, a carriage return included, is
+read back as written.
+
+The benchmark datasets are described in the YAML file ``datasets/manifest``
+of the source tree; this module does not read it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-import yaml
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ def _unescape(text: str) -> str:
 def load_tsv(path: str | Path) -> LabeledCorpus:
     """Parse a label<TAB>text corpus file in file order."""
     pairs: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if "\t" not in line:
@@ -138,128 +142,3 @@ def synthetic_corpus(
             tokens[at:at] = [f"siga{cls}", f"sigb{cls}"]
         pairs.append((" ".join(tokens), f"c{cls}"))
     return LabeledCorpus.from_pairs(pairs)
-
-
-@dataclass(frozen=True)
-class DatasetInfo:
-    """Provenance and expected split sizes for one benchmark dataset."""
-
-    name: str
-    url: str
-    n_train: int
-    n_dev: int
-    n_test: int
-    notes: str
-
-
-DATASETS: tuple[DatasetInfo, ...] = (
-    DatasetInfo(
-        name="Stanford sentiment",
-        url="http://nlp.stanford.edu/sentiment",
-        n_train=6920,
-        n_dev=872,
-        n_test=1821,
-        notes=(
-            "Sentence-level binary movie-review sentiment (neutral reviews dropped); "
-            "standard train/dev/test splits. Convert each split to TSV with labels "
-            "'pos'/'neg' and the raw sentence as text."
-        ),
-    ),
-    DatasetInfo(
-        name="Amazon electronics",
-        url="http://riejohnson.com/cnn_data.html",
-        n_train=20000,
-        n_dev=5000,
-        n_test=25000,
-        notes=(
-            "Electronics product reviews, positive vs negative, text section only "
-            "(summaries ignored). Dev set is a random 20% of the 25,000 training "
-            "reviews (seeded shuffle)."
-        ),
-    ),
-    DatasetInfo(
-        name="IMDB reviews",
-        url="http://ai.stanford.edu/~amaas//data/sentiment",
-        n_train=20000,
-        n_dev=5000,
-        n_test=25000,
-        notes=(
-            "Highly polar movie reviews, binary sentiment. Dev set is a random 20% "
-            "of the 25,000 training reviews (seeded shuffle)."
-        ),
-    ),
-    DatasetInfo(
-        name="Congress vote",
-        url="http://www.cs.cornell.edu/~ainur/sle-data.html",
-        n_train=1175,
-        n_dev=113,
-        n_test=411,
-        notes=(
-            "Floor-debate transcripts for controversial bills; predict the speaker's "
-            "vote ('yea'/'nay') for each speech segment. Uses the distributed "
-            "train/dev/test splits."
-        ),
-    ),
-    DatasetInfo(
-        name="20N all topics",
-        url="http://qwone.com/~jason/20Newsgroups",
-        n_train=9052,
-        n_dev=2262,
-        n_test=7532,
-        notes=(
-            "20 Newsgroups bydate version, all 20 topics. Remove message headers "
-            "(they leak label information) before conversion. Dev set is a random "
-            "20% of the 11,314 training articles."
-        ),
-    ),
-    DatasetInfo(
-        name="20N all science",
-        url="http://qwone.com/~jason/20Newsgroups",
-        n_train=1899,
-        n_dev=474,
-        n_test=1579,
-        notes=(
-            "Four-way science classification over sci.crypt, sci.electronics, "
-            "sci.med, sci.space (the reference task description lists sci.med "
-            "twice; sci.space is the count-consistent fourth group). Headers "
-            "removed; dev is a random 20% of the 2,373 training articles."
-        ),
-    ),
-    DatasetInfo(
-        name="20N atheist.religion",
-        url="http://qwone.com/~jason/20Newsgroups",
-        n_train=686,
-        n_dev=171,
-        n_test=570,
-        notes=(
-            "Binary talk.religion.misc vs alt.atheism. Headers removed; dev is a "
-            "random 20% of the 857 training articles."
-        ),
-    ),
-    DatasetInfo(
-        name="20N x.graphics",
-        url="http://qwone.com/~jason/20Newsgroups",
-        n_train=942,
-        n_dev=235,
-        n_test=784,
-        notes=(
-            "Binary comp.graphics vs comp.windows.x. Headers removed; dev is a "
-            "random 20% of the 1,177 training articles."
-        ),
-    ),
-)
-
-
-def load_manifest(path: str | Path) -> tuple[DatasetInfo, ...]:
-    raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    return tuple(
-        DatasetInfo(
-            name=item["name"],
-            url=item["url"],
-            n_train=item["counts"]["train"],
-            n_dev=item["counts"]["dev"],
-            n_test=item["counts"]["test"],
-            notes=item["notes"],
-        )
-        for item in raw
-    )

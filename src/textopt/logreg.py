@@ -26,7 +26,6 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,27 +79,6 @@ class Model:
     intercept: np.ndarray  # (n_classes,)
     converged: bool = True
 
-    def save(self, path: str | Path) -> None:
-        """Write labels, coefficient matrix, intercepts and the converged flag as an .npz file."""
-        with open(path, "wb") as fh:
-            np.savez(
-                fh,
-                labels=np.asarray(self.labels, dtype=str),
-                coef=self.coef,
-                intercept=self.intercept,
-                converged=np.asarray([self.converged]),
-            )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Model":
-        with np.load(path, allow_pickle=False) as data:
-            return cls(
-                labels=tuple(str(x) for x in data["labels"]),
-                coef=data["coef"],
-                intercept=data["intercept"],
-                converged=bool(data["converged"][0]),
-            )
-
 
 @dataclass(frozen=True, eq=False)
 class LabeledRows:
@@ -108,6 +86,12 @@ class LabeledRows:
 
     x: scipy.sparse.csr_matrix
     labels: Sequence[str]
+
+    def __post_init__(self) -> None:
+        if not scipy.sparse.issparse(self.x) or self.x.format != "csr":
+            raise TypeError(f"expected a CSR matrix, got {type(self.x).__name__}")
+        if len(self.labels) != self.x.shape[0]:
+            raise ValueError(f"{self.x.shape[0]} matrix rows but {len(self.labels)} labels")
 
     def __len__(self) -> int:
         return self.x.shape[0]

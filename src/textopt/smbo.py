@@ -29,7 +29,6 @@ class RunState:
 
     history: list[TrialRecord] = field(default_factory=list)
     incumbent: TrialRecord | None = None
-    budget: int = 0
     seed: int = 0
 
 
@@ -51,7 +50,7 @@ def run(
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     params = params or TpeParams()
     rng = np.random.default_rng(params.seed)
-    state = RunState(budget=n_trials, seed=params.seed)
+    state = RunState(seed=params.seed)
     for t in range(1, n_trials + 1):
         assignment = suggest(space, state.history, params, rng)
         start = time.perf_counter()

@@ -202,12 +202,6 @@ class ConfigSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(n.name for n in self.nodes)
 
-    def node(self, name: str) -> ParamNode:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise SpaceError(f"no node named {name!r}")
-
     @cached_property
     def _links(self) -> tuple[tuple[int, frozenset[int]] | None, ...]:
         """Per node: None for a root, else its parent's position and activating parent codes."""
@@ -416,33 +410,6 @@ def enumerate_assignments(space: ConfigSpace) -> list[Assignment]:
 
     rec(0, {})
     return out
-
-
-def serialize_space(space: ConfigSpace) -> list[dict[str, Any]]:
-    """Structured description accepted back by define_space."""
-    items: list[dict[str, Any]] = []
-    for node in space.nodes:
-        d = node.domain
-        item: dict[str, Any] = {"name": node.name}
-        if isinstance(d, Categorical):
-            item["type"] = "categorical"
-            item["choices"] = list(d.choices)
-        elif isinstance(d, IntRange):
-            item["type"] = "int"
-            item["lo"] = d.lo
-            item["hi"] = d.hi
-        else:
-            item["type"] = "continuous"
-            item["lo"] = d.lo
-            item["hi"] = d.hi
-            item["scale"] = d.scale
-        if node.condition is not None:
-            item["condition"] = {
-                "parent": node.condition.parent,
-                "values": list(node.condition.values),
-            }
-        items.append(item)
-    return items
 
 
 def load_space(path: str | Path) -> ConfigSpace:

@@ -93,11 +93,6 @@ class Vocabulary:
         grams = self._grams.strings(self.columns)
         return dict(zip(grams, enumerate(self._doc_freq[self.columns].tolist())))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Vocabulary):
-            return NotImplemented
-        return self.n_docs == other.n_docs and self.entries == other.entries
-
 
 @dataclass(frozen=True, eq=False)
 class SparseVector:

@@ -135,7 +135,6 @@ class ParzenCategorical:
 
     domain: Categorical | IntRange
     weights: np.ndarray
-    smoothing: float
     _cdf: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -179,7 +178,7 @@ def _smoothed_counts(
     counts = np.bincount(indices, minlength=len(domain.choices))
     weights = counts + smoothing
     weights /= weights.sum()
-    return ParzenCategorical(domain, weights, smoothing)
+    return ParzenCategorical(domain, weights)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ import textopt.cli
 from textopt.cli import TRIALS_HEADER, build_parser, main
 from textopt.data import LabeledCorpus, load_tsv, split_corpus, synthetic_corpus, write_tsv
 from textopt.pipeline import evaluate_assignment
-from textopt.space import serialize_space, text_rep_space
 from textopt.textrep import load_stopwords
 from textopt.tpe import TpeParams
 
@@ -134,12 +133,20 @@ class TestOptimize:
         )
 
     def test_condition_on_continuous_parent_rejected(self, corpus_files, tmp_path, capsys):
-        space = serialize_space(text_rep_space())
-        for item in space:
-            if item["name"] == "remove_stopwords":
-                item["condition"] = {"parent": "strength", "values": [1.0]}
         path = tmp_path / "continuous_parent.space"
-        path.write_text(yaml.safe_dump(space))
+        path.write_text(
+            """
+- {name: n_min, type: categorical, choices: [1, 2, 3]}
+- {name: n_span|n_min=1, type: categorical, choices: [0, 1, 2], condition: {parent: n_min, values: [1]}}
+- {name: n_span|n_min=2, type: categorical, choices: [0, 1], condition: {parent: n_min, values: [2]}}
+- {name: n_span|n_min=3, type: categorical, choices: [0], condition: {parent: n_min, values: [3]}}
+- {name: weighting, type: categorical, choices: [tf, tf-idf, binary]}
+- {name: remove_stopwords, type: categorical, choices: [true, false], condition: {parent: strength, values: [1.0]}}
+- {name: regularizer, type: categorical, choices: [l1, l2]}
+- {name: strength, type: continuous, lo: 1.0e-05, hi: 100000.0, scale: log10}
+- {name: tolerance, type: continuous, lo: 1.0e-05, hi: 0.001, scale: log10}
+"""
+        )
         code = main(optimize_args(corpus_files, tmp_path / "out", extra=["--space", str(path)]))
         assert code == 2
         assert "node 'remove_stopwords': condition on continuous parent 'strength'" in (

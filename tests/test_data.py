@@ -1,4 +1,4 @@
-"""Corpus I/O, deterministic splitting, synthetic generation, and the manifest."""
+"""Corpus I/O, deterministic splitting, synthetic generation, and the dataset manifest file."""
 
 from __future__ import annotations
 
@@ -6,11 +6,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+import yaml
 
 from textopt.data import (
-    DATASETS,
     LabeledCorpus,
-    load_manifest,
     load_tsv,
     split_corpus,
     synthetic_corpus,
@@ -48,6 +47,9 @@ class TestTsv:
                 ("backslash \\n literal", "a"),
                 ("mixed \\ \t \n all", "b"),
                 ("", "a"),
+                ("first line\r\nsecond\rthird", "b"),
+                ("trailing carriage return\r", "car\riage"),
+                ("\r", "\r\n"),
             ]
         )
         first = tmp_path / "first.tsv"
@@ -167,35 +169,34 @@ class TestSyntheticCorpus:
             synthetic_corpus(**kwargs)
 
 
+MANIFEST = Path(__file__).resolve().parents[1] / "datasets" / "manifest"
+
+
 class TestManifest:
-    def by_name(self):
-        return {d.name: d for d in DATASETS}
+    def datasets(self):
+        return yaml.safe_load(MANIFEST.read_text(encoding="utf-8"))
 
     def test_expected_counts(self):
-        info = self.by_name()
-        assert (info["Stanford sentiment"].n_train, info["Stanford sentiment"].n_dev,
-                info["Stanford sentiment"].n_test) == (6920, 872, 1821)
-        assert (info["IMDB reviews"].n_train, info["IMDB reviews"].n_dev,
-                info["IMDB reviews"].n_test) == (20000, 5000, 25000)
-        assert (info["Amazon electronics"].n_train, info["Amazon electronics"].n_dev,
-                info["Amazon electronics"].n_test) == (20000, 5000, 25000)
-        assert (info["Congress vote"].n_train, info["Congress vote"].n_dev,
-                info["Congress vote"].n_test) == (1175, 113, 411)
-        assert (info["20N all topics"].n_train, info["20N all topics"].n_dev,
-                info["20N all topics"].n_test) == (9052, 2262, 7532)
-        assert (info["20N all science"].n_train, info["20N all science"].n_dev,
-                info["20N all science"].n_test) == (1899, 474, 1579)
-        assert (info["20N atheist.religion"].n_train, info["20N atheist.religion"].n_dev,
-                info["20N atheist.religion"].n_test) == (686, 171, 570)
-        assert (info["20N x.graphics"].n_train, info["20N x.graphics"].n_dev,
-                info["20N x.graphics"].n_test) == (942, 235, 784)
+        counts = {d["name"]: tuple(d["counts"][k] for k in ("train", "dev", "test")) for d in self.datasets()}
+        assert counts["Stanford sentiment"] == (6920, 872, 1821)
+        assert counts["IMDB reviews"] == (20000, 5000, 25000)
+        assert counts["Amazon electronics"] == (20000, 5000, 25000)
+        assert counts["Congress vote"] == (1175, 113, 411)
+        assert counts["20N all topics"] == (9052, 2262, 7532)
+        assert counts["20N all science"] == (1899, 474, 1579)
+        assert counts["20N atheist.religion"] == (686, 171, 570)
+        assert counts["20N x.graphics"] == (942, 235, 784)
 
     def test_eight_datasets_with_urls(self):
-        assert len(DATASETS) == 8
-        for dataset in DATASETS:
-            assert dataset.url.startswith("http")
-            assert dataset.notes
+        datasets = self.datasets()
+        assert len(datasets) == 8
+        for dataset in datasets:
+            assert dataset["url"].startswith("http")
+            assert dataset["notes"]
 
-    def test_shipped_manifest_matches_builtin(self):
-        shipped = Path(__file__).resolve().parents[1] / "datasets" / "manifest"
-        assert load_manifest(shipped) == DATASETS
+    def test_entries_have_exactly_the_manifest_fields(self):
+        for dataset in self.datasets():
+            assert set(dataset) == {"name", "url", "counts", "notes"}
+            assert all(isinstance(dataset[key], str) for key in ("name", "url", "notes"))
+            assert set(dataset["counts"]) == {"train", "dev", "test"}
+            assert all(type(n) is int and n > 0 for n in dataset["counts"].values())

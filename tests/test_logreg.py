@@ -717,18 +717,19 @@ class TestEvaluateAccuracy:
             evaluate_accuracy(model, labeled([], [], 2))
 
 
-class TestModelSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        data, dim, labels = random_instance(rng)
-        model = train(data, TrainConfig("l2", 2.0, 1e-4), labels)
-        path = tmp_path / "model.npz"
-        model.save(path)
-        loaded = Model.load(path)
-        assert loaded.labels == model.labels
-        assert np.array_equal(loaded.coef, model.coef)
-        assert np.array_equal(loaded.intercept, model.intercept)
-        assert loaded.converged == model.converged
+class TestLabeledRows:
+    @pytest.mark.parametrize("n_labels", [0, 1, 2, 5, 7])
+    def test_label_count_must_match_row_count(self, n_labels):
+        x = csr([{0: 1.0}] * 6, 2)
+        with pytest.raises(ValueError, match=f"^6 matrix rows but {n_labels} labels$"):
+            LabeledRows(x, ["A"] * n_labels)
+
+    @pytest.mark.parametrize(
+        "x", [np.ones((2, 2)), scipy.sparse.csc_matrix(np.ones((2, 2))), scipy.sparse.coo_matrix(np.ones((2, 2)))]
+    )
+    def test_matrix_must_be_csr(self, x):
+        with pytest.raises(TypeError, match="expected a CSR matrix"):
+            LabeledRows(x, ["A", "B"])
 
 
 class TestTrainConfig:

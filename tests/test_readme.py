@@ -1,4 +1,5 @@
-"""The README's library examples run as written, and the package exports only what is used."""
+"""The README's library examples run as written, the package exports only what is used,
+and no public name in the package is reached only from tests."""
 
 from __future__ import annotations
 
@@ -50,3 +51,50 @@ def test_package_exports_only_names_the_cli_benchmark_readme_or_acceptance_tests
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(exported - used) == []
+
+
+
+def references(tree: ast.AST) -> list[tuple[str, bool, int]]:
+    """(name, whether it is an attribute, line) for each name a module reads, imports or looks up."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, False, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, True, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            refs.extend((alias.name, False, node.lineno) for alias in node.names)
+    return refs
+
+
+def test_every_public_definition_is_reached_from_outside_the_tests():
+    """Each public module-level function and class, and each public method, of ``src/textopt``
+    is named outside its own body: elsewhere in the package, in ``benchmark/``, in the
+    acceptance tests or in the README's Python blocks.  A method counts only attribute references."""
+    sources = {path: ast.parse(path.read_text(encoding="utf-8")) for path in (ROOT / "src" / "textopt").glob("*.py")}
+    users = [path.read_text(encoding="utf-8") for path in (ROOT / "benchmark").glob("*.py")]
+    users.append((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    users += re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    refs = [(path, *ref) for path, tree in sources.items() for ref in references(tree)]
+    refs += [(None, *ref) for text in users for ref in references(ast.parse(text))]
+
+    def reached(path: Path, definition: ast.FunctionDef | ast.ClassDef, method: bool) -> bool:
+        return any(
+            name == definition.name
+            and (is_attribute or not method)
+            and (where != path or not definition.lineno <= line <= definition.end_lineno)
+            for where, name, is_attribute, line in refs
+        )
+
+    unreached = []
+    for path, tree in sorted(sources.items()):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if not reached(path, node, method=False):
+                unreached.append(f"{path.stem}.{node.name}")
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    if not reached(path, member, method=True):
+                        unreached.append(f"{path.stem}.{node.name}.{member.name}")
+    assert unreached == []

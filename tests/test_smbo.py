@@ -31,7 +31,6 @@ class TestRun:
     def test_every_trial_recorded(self):
         state = run(text_rep_space(), lambda a: a["strength"], n_trials=12, params=TpeParams(seed=1))
         assert len(state.history) == 12
-        assert state.budget == 12
 
     def test_deterministic_history(self):
         space = text_rep_space()
@@ -85,7 +84,7 @@ class TestRun:
 
 class TestBestSoFarCurve:
     def state_from(self, ys):
-        state = RunState(budget=len(ys))
+        state = RunState()
         state.history = [TrialRecord({}, y) for y in ys]
         finite = [y for y in ys if math.isfinite(y)]
         if finite:

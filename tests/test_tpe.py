@@ -573,7 +573,7 @@ def scalar_fit(space, trials, smoothing):
             counts = np.array([sum(value_equal(o, c) for o in obs) for c in choices], dtype=float)
             weights = counts + smoothing
             weights /= weights.sum()
-            models[node.name] = ParzenCategorical(Categorical(choices), weights, smoothing)
+            models[node.name] = ParzenCategorical(Categorical(choices), weights)
     return models
 
 

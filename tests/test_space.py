@@ -37,6 +37,32 @@ def chain_space() -> ConfigSpace:
     )
 
 
+def describe(space: ConfigSpace) -> list[dict]:
+    """The node descriptions that define_space and space files take, built by hand."""
+    out = []
+    for node in space.nodes:
+        d = node.domain
+        if isinstance(d, Categorical):
+            item = {"name": node.name, "type": "categorical", "choices": list(d.choices)}
+        elif isinstance(d, IntRange):
+            item = {"name": node.name, "type": "int", "lo": d.lo, "hi": d.hi}
+        else:
+            item = {
+                "name": node.name,
+                "type": "continuous",
+                "lo": d.lo,
+                "hi": d.hi,
+                "scale": d.scale,
+            }
+        if node.condition is not None:
+            item["condition"] = {
+                "parent": node.condition.parent,
+                "values": list(node.condition.values),
+            }
+        out.append(item)
+    return out
+
+
 class TestDefineSpace:
     def test_conditional_child(self):
         space = define_space(
@@ -367,6 +393,15 @@ class TestEnumerateAssignments:
 
 
 class TestSerialization:
+    def test_round_trip_equality(self):
+        for space in (text_rep_space(), chain_space()):
+            assert define_space(describe(space)) == space
+
+    def test_file_round_trip(self, tmp_path):
+        path = tmp_path / "space.yaml"
+        path.write_text(yaml.safe_dump(describe(text_rep_space())), encoding="utf-8")
+        assert load_space(path) == text_rep_space()
+
     def test_load_space_reads_every_node_kind(self, tmp_path):
         path = tmp_path / "space.yaml"
         path.write_text(

@@ -4,7 +4,7 @@ Corpora are stored as tab-separated files, one document per line:
 ``label<TAB>text`` with backslash, tab, and newline escaped as ``\\\\``,
 ``\\t``, and ``\\n`` so that write/load round trips are byte exact.  Only
 ``\\n`` ends a line; any other character, a carriage return included, is
-read back as written.
+read back as written.  A byte-order mark at the start of a file is skipped.
 
 The benchmark datasets are described in the YAML file ``datasets/manifest``
 of the source tree; this module does not read it.
@@ -61,7 +61,7 @@ def _unescape(text: str) -> str:
 def load_tsv(path: str | Path) -> LabeledCorpus:
     """Parse a label<TAB>text corpus file in file order."""
     pairs: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8", newline="\n") as fh:
+    with open(path, encoding="utf-8-sig", newline="\n") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if "\t" not in line:

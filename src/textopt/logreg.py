@@ -82,16 +82,25 @@ class Model:
 
 @dataclass(frozen=True, eq=False)
 class LabeledRows:
-    """Labeled examples as one CSR matrix: row i of ``x`` carries ``labels[i]``."""
+    """Labeled examples as one CSR matrix: row i of ``x`` carries ``labels[i]``.
+
+    ``groups``, when given, labels each column of ``x`` with a non-negative
+    integer so that two columns share a label exactly when they are
+    identical; ``train`` then merges columns by it instead of finding the
+    identical ones itself.
+    """
 
     x: scipy.sparse.csr_matrix
     labels: Sequence[str]
+    groups: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not scipy.sparse.issparse(self.x) or self.x.format != "csr":
             raise TypeError(f"expected a CSR matrix, got {type(self.x).__name__}")
         if len(self.labels) != self.x.shape[0]:
             raise ValueError(f"{self.x.shape[0]} matrix rows but {len(self.labels)} labels")
+        if self.groups is not None and len(self.groups) != self.x.shape[1]:
+            raise ValueError(f"{self.x.shape[1]} matrix columns but {len(self.groups)} groups")
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -105,65 +114,79 @@ def _label_indices(data: LabeledRows, labels: Sequence[str]) -> np.ndarray:
         raise ValueError(f"label {exc} not in label set {tuple(labels)}") from exc
 
 
-def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
-    """``scipy.special.logsumexp(scores, axis=1)``, bit for bit, without its overhead.
+def _logsumexp_classes(scores: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(scores.T, axis=1)`` of class-major (k, n) scores, bit for bit.
 
-    The steps are scipy 1.17's for real input: the row maximum and the count m
-    of entries equal to it are taken out of the sum of shifted exponentials.
-    Rows whose result is not finite go to scipy itself.
+    The steps are scipy 1.17's for real input, without its overhead: the
+    maximum over classes and the count m of classes equal to it are taken out
+    of the sum of shifted exponentials.  (scipy divides the sum by m only
+    where it is not zero; zero over m is the same zero.)  The maximum and the
+    count are exact in any order, so they run over axis 0.  The sum is not:
+    numpy sums a contiguous row of fewer than 8 entries left to right, as a
+    sum over axis 0 does, but a longer one in pairwise blocks, so with 8
+    classes or more the exponentials are summed over an (n, k) copy, in
+    scipy's order.  When any maximum is not finite, scipy computes the whole
+    result.
     """
-    top = scores.max(axis=1, keepdims=True)
+    top = scores.max(axis=0)
+    if not np.isfinite(top).all():
+        return scipy.special.logsumexp(np.ascontiguousarray(scores.T), axis=1)
     is_top = scores == top
-    m = is_top.sum(axis=1, keepdims=True, dtype=scores.dtype)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.exp(np.where(is_top, -np.inf, scores - top)).sum(axis=1, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + top)[:, 0]
-    bad = ~np.isfinite(out)
-    if bad.any():
-        out[bad] = scipy.special.logsumexp(scores[bad], axis=1)
-    return out
+    m = is_top.sum(axis=0, dtype=scores.dtype)
+    shifted = np.exp(np.where(is_top, -np.inf, scores - top))
+    s = shifted.sum(axis=0) if len(scores) < 8 else np.ascontiguousarray(shifted.T).sum(axis=1)
+    return np.log1p(s / m) + np.log(m) + top
+
+
+def _flat_labels(y_idx: np.ndarray) -> np.ndarray:
+    """Position of each example's true class in class-major (k, n) scores, flattened."""
+    return y_idx * len(y_idx) + np.arange(len(y_idx))
 
 
 def _objective(
     z: np.ndarray,
     x: scipy.sparse.csr_matrix,
     x_t: scipy.sparse.csr_matrix,
-    y_idx: np.ndarray,
+    y_flat: np.ndarray,
     config: TrainConfig,
     root: np.ndarray,
 ) -> tuple[float, Callable[[], np.ndarray]]:
     """Penalized objective at ``z``, and a function that returns its gradient there.
 
     ``z`` holds the k x F coefficients row by row, then the k intercepts, and
-    ``x_t`` is ``x.T`` as a CSR matrix.  Column j's l1 penalty weighs
-    ``root[j]``: sqrt(m) on a column that merges m identical ones, else 1.
-    The gradient reuses the value's scores and log-sum-exp, so a line search
-    pays for it only at the point it accepts; for the l1 penalty its coef part
-    is the smooth loss's only.  Each class is scored with its own
-    matrix-vector product: the same bits as ``x @ coef.T``, without copying
-    the coefficients into F order.
+    ``x_t`` is ``x.T`` as a CSR matrix.  ``y_flat`` is ``_flat_labels`` of
+    the examples' class indices.  Column j's l1 penalty weighs ``root[j]``:
+    sqrt(m) on a column that merges m identical ones, else 1.  The gradient
+    reuses the value's scores and log-sum-exp, so a line search pays for it
+    only at the point it accepts; for the l1 penalty its coef part is the
+    smooth loss's only.
+
+    Scores are class-major: row c is ``x @ coef[c]``, the same bits as column
+    c of ``x @ coef.T`` without copying the coefficients into F order, and
+    row c of the gradient's residuals is multiplied by ``x_t`` as it lies.
+    Sums keep the order of example-major (n, k) scores: the log-sum-exp's
+    over classes (see ``_logsumexp_classes``), and the intercept gradient's
+    over examples, which is taken on an (n, k) copy.
     """
     n_features = x.shape[1]
     k = z.size // (n_features + 1)
     block = k * n_features
     coef = z[:block].reshape(k, n_features)
-    scores = np.empty((x.shape[0], k))
+    scores = np.empty((k, x.shape[0]))
     for c in range(k):
-        scores[:, c] = x @ coef[c]
-    scores += z[block:]
-    lse = _logsumexp_rows(scores)
-    rows = np.arange(len(y_idx))
-    loss = config.strength * float(np.sum(lse - scores[rows, y_idx]))
+        scores[c] = x @ coef[c]
+    scores += z[block:, None]
+    lse = _logsumexp_classes(scores)
+    loss = config.strength * float(np.sum(lse - scores.reshape(-1)[y_flat]))
 
     def gradient() -> np.ndarray:
-        delta = np.exp(scores - lse[:, None])
-        delta[rows, y_idx] -= 1.0
+        delta = np.exp(scores - lse)
+        delta.reshape(-1)[y_flat] -= 1.0
         grad = np.empty_like(z)
         grad_coef = grad[:block].reshape(coef.shape)
-        for c, column in enumerate(np.ascontiguousarray(delta.T)):
-            np.multiply(x_t @ column, config.strength, out=grad_coef[c])
-        grad[block:] = config.strength * delta.sum(axis=0)
+        for c in range(k):
+            np.multiply(x_t @ delta[c], config.strength, out=grad_coef[c])
+        grad[block:] = config.strength * np.ascontiguousarray(delta.T).sum(axis=0)
         if config.penalty == "l2":
             grad_coef += coef
         return grad
@@ -192,8 +215,8 @@ def objective_and_gradient(
     if rows.x.shape[1] != dim:
         raise ValueError(f"feature dimension {rows.x.shape[1]} != weight dimension {dim}")
     z = np.concatenate([weights[:, :dim].ravel(), weights[:, dim]])
-    y_idx = _label_indices(rows, labels)
-    value, gradient_at_z = _objective(z, rows.x, rows.x.T.tocsr(), y_idx, config, np.ones(dim))
+    y_flat = _flat_labels(_label_indices(rows, labels))
+    value, gradient_at_z = _objective(z, rows.x, rows.x.T.tocsr(), y_flat, config, np.ones(dim))
     if not np.isfinite(value):
         raise FloatingPointError("non-finite objective value")
     grad = gradient_at_z()
@@ -203,17 +226,29 @@ def objective_and_gradient(
 
 
 def _two_loop(q: np.ndarray, pairs: deque[_Pair]) -> np.ndarray:
-    """L-BFGS inverse-Hessian approximation times ``q``, in place; each pair acts on its support."""
+    """L-BFGS inverse-Hessian approximation times ``q``, in place; each pair acts on its support.
+
+    Pairs on all coordinates scale their s or y into one buffer, so they make
+    no temporaries.  It lives only during the call, as the temporaries did.
+    """
+    buffer = np.empty_like(q)
     alphas = []
     for support, s, y, rho in reversed(pairs):
-        alpha = rho * float(s @ q[support])
-        q[support] -= alpha * y
+        if support is _ALL:
+            alpha = rho * float(s @ q)
+            q -= np.multiply(y, alpha, out=buffer)
+        else:
+            alpha = rho * float(s @ q[support])
+            q[support] -= alpha * y
         alphas.append(alpha)
     if pairs:
         _, s, y, _ = pairs[-1]
         q *= float(s @ y) / float(y @ y)
     for (support, s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q[support] += (alpha - rho * float(y @ q[support])) * s
+        if support is _ALL:
+            q += np.multiply(s, alpha - rho * float(y @ q), out=buffer)
+        else:
+            q[support] += (alpha - rho * float(y @ q[support])) * s
     return q
 
 
@@ -227,17 +262,12 @@ def _column_hash(xc: scipy.sparse.csc_matrix) -> np.ndarray:
     return (xc.T @ projection).view(np.int64) + np.diff(xc.indptr)
 
 
-def _merge_identical_columns(
-    x: scipy.sparse.csr_matrix,
-) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
-    """``x`` with each set of m identical columns merged into one column times sqrt(m).
+def identical_columns(x: scipy.sparse.csr_matrix) -> np.ndarray:
+    """Per column of ``x``, the lowest-numbered column identical to it: itself if there is none.
 
-    Returns the merged matrix, the merged column of each column of ``x``, and
-    sqrt(m) per merged column.  Merged columns keep the order of their first
-    members.  Columns are sorted on their hash, and every column is checked
-    against the first of its run of equal keys with one sparse comparison;
-    one that differs from it in any entry stays on its own.  With no copies,
-    ``x`` itself is returned.
+    Columns are sorted on their hash, and every column is checked against the
+    first of its run of equal keys with one sparse comparison; one that
+    differs from it in any entry stays on its own.
     """
     n_features = x.shape[1]
     xc = x.tocsc()
@@ -253,10 +283,34 @@ def _merge_identical_columns(
     same = (xc[:, members] != xc[:, firsts]).count_nonzero(axis=0) == 0
     representative = np.arange(n_features)
     representative[members[same]] = firsts[same]
+    return representative
+
+
+def _merge_identical_columns(
+    x: scipy.sparse.csr_matrix, groups: np.ndarray | None = None
+) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """``x`` with each set of m identical columns merged into one column times sqrt(m).
+
+    ``groups`` labels each column with a non-negative integer so that exactly
+    the identical ones share a label; without it, ``identical_columns`` finds
+    them.  Returns the merged matrix, the merged column of each column of
+    ``x``, and sqrt(m) per merged column.  Merged columns keep the order of
+    their first members.  With no copies, ``x`` itself is returned.
+    """
+    n_features = x.shape[1]
+    if groups is None:
+        groups = identical_columns(x)
+    # The lowest-numbered column of each group represents it.
+    first = np.full(int(groups.max(initial=0)) + 1, n_features)
+    np.minimum.at(first, groups, np.arange(n_features))
+    representative = first[groups]
     is_kept = representative == np.arange(n_features)
     if is_kept.all():
         return x, np.arange(n_features), np.ones(n_features)
-    column_of = (np.cumsum(is_kept) - 1)[representative]
+    # Each column's merged column, in the smallest unsigned type: it is held
+    # while the solver runs.
+    position = np.cumsum(is_kept) - 1
+    column_of = position.astype(np.min_scalar_type(position[-1]))[representative]
     root = np.sqrt(np.bincount(column_of).astype(np.float64))
     merged = x[:, np.flatnonzero(is_kept)].astype(np.float64, copy=False)
     merged.data *= root[merged.indices]
@@ -288,6 +342,7 @@ def _solve(
     block = k * n_features
     l1 = config.penalty == "l1"
     x_t = x.T.tocsr()
+    y_flat = _flat_labels(y_idx)
 
     def pseudo_gradient(z: np.ndarray, g: np.ndarray) -> np.ndarray:
         if not l1:
@@ -308,7 +363,7 @@ def _solve(
         return float(np.max(size))
 
     z = np.zeros(block + k)
-    value, gradient = _objective(z, x, x_t, y_idx, config, root)
+    value, gradient = _objective(z, x, x_t, y_flat, config, root)
     g = gradient()
     gtol = config.tolerance * full_norm(g)
     pg = pseudo_gradient(z, g)
@@ -339,13 +394,17 @@ def _solve(
             if at is _ALL:
                 z_new = z_new_at
             else:
-                z_new = z.copy()
+                # The trial point differs from z only at `at`: write it into
+                # z, whose old entries there are z_at.
+                z_new = z
                 z_new[at] = z_new_at
-            value_new, gradient = _objective(z_new, x, x_t, y_idx, config, root)
+            value_new, gradient = _objective(z_new, x, x_t, y_flat, config, root)
             if value_new <= value + _ARMIJO * float(pg_at @ (z_new_at - z_at)):
                 break
             step *= 0.5
         else:
+            if at is not _ALL:
+                z[at] = z_at
             break  # the objective cannot be decreased along d
         g_new = gradient()
         s = z_new_at - z_at
@@ -375,13 +434,14 @@ def train(rows: LabeledRows, config: TrainConfig, labels: Sequence[str]) -> Mode
     """Fit the model from zero initialization; deterministic for fixed inputs.
 
     The feature dimension is the column count of ``rows.x``.  Identical
-    columns of ``rows.x`` get identical coefficients.
+    columns of ``rows.x`` (those ``rows.groups`` labels alike, when given)
+    get identical coefficients.
     """
     if not rows:
         raise ValueError("empty training data")
     labels = tuple(labels)
     y_idx = _label_indices(rows, labels)
-    x, column_of, root = _merge_identical_columns(rows.x)
+    x, column_of, root = _merge_identical_columns(rows.x, rows.groups)
     coef, intercept, converged = _solve(x, y_idx, len(labels), config, root)
     coef = (coef / root)[:, column_of]
     if not converged:

@@ -103,11 +103,14 @@ def _fit_and_score(
     rep, cfg = assignment_to_configs(assignment)
     stoplist = featurizer.stoplist
     vocab = build_vocabulary(featurizer.train, rep, stoplist)
-    vectors = [vectorize_corpus(part, vocab, rep, stoplist) for part in featurizer.parts]
-    model = train(LabeledRows(vectors[0].matrix, _labels(train_corpus)), cfg, train_corpus.labels)
+    x = vectorize_corpus(featurizer.train, vocab, rep, stoplist).matrix
+    rows = LabeledRows(x, _labels(train_corpus), featurizer.column_groups(rep))
+    model = train(rows, cfg, train_corpus.labels)
     if eval_corpus is None:
         return model, vocab, rep, None
-    accuracy = evaluate_accuracy(model, LabeledRows(vectors[1].matrix, _labels(eval_corpus)))
+    # Vectorized after training, so the solver does not run beside its matrix.
+    x_eval = vectorize_corpus(featurizer.parts[1], vocab, rep, stoplist).matrix
+    accuracy = evaluate_accuracy(model, LabeledRows(x_eval, _labels(eval_corpus)))
     return model, vocab, rep, accuracy
 
 

@@ -39,6 +39,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse
 
+from .logreg import identical_columns
+
 WEIGHTING_SCHEMES = ("tf", "tfidf", "binary")
 
 # Word characters minus underscore: Unicode alphanumeric runs.
@@ -205,6 +207,11 @@ class Featurizer:
     once, for both settings and every vocabulary.  More than 2,097,150
     distinct tokens raise ``ValueError``: their 3-gram keys would not fit in
     int64.
+
+    The identical columns of the training part are found once per stopword
+    setting, over all lengths, and kept for ``column_groups``: in two kinds,
+    columns with identical counts (identical under tf and tf-idf) and columns
+    with identical support (identical under binary weighting).
     """
 
     def __init__(
@@ -232,6 +239,9 @@ class Featurizer:
         self._base = 0  # of the n-gram keys
         self._matrices: dict[bool, _Counts] = {}
         self._vocabs: dict[tuple[int, int, bool], Vocabulary] = {}
+        # Per (stopwords, binary): a group number per column, shared by identical
+        # training columns, in the smallest unsigned type that holds them.
+        self._groups: dict[tuple[bool, bool], np.ndarray] = {}
 
     # Parts are made on request: a featurizer holding its parts would form a
     # reference cycle, which keeps its counts alive until a full collection.
@@ -315,6 +325,31 @@ class Featurizer:
             if len(self._matrices) == 2:  # both settings counted: the ids are not read again
                 self._ids = self._sizes = None
         return self._matrices[remove_stopwords]
+
+    def column_groups(self, config: RepresentationConfig) -> np.ndarray:
+        """Per column of ``config``'s training matrix, a label that exactly the identical columns share.
+
+        The labels fit ``logreg.LabeledRows``' ``groups``.  ``config``'s
+        vocabulary must have been built with ``build_vocabulary``.
+        """
+        vocab = self._vocabs.get((config.n_min, config.n_max, config.remove_stopwords))
+        if vocab is None:
+            raise ValueError(f"no vocabulary built for {config}")
+        key = (config.remove_stopwords, config.weighting == "binary")
+        if key not in self._groups:
+            counts = self._matrices[config.remove_stopwords].matrix
+            # The training rows lead the count matrix: take them as a view, not a copy.
+            end = counts.indptr[self.n_train]
+            train = scipy.sparse.csr_matrix(
+                (counts.data[:end], counts.indices[:end], counts.indptr[: self.n_train + 1]),
+                shape=(self.n_train, counts.shape[1]),
+            )
+            first = identical_columns(train.sign() if key[1] else train)
+            groups = np.unique(first, return_inverse=True)[1]
+            self._groups[key] = groups.astype(np.min_scalar_type(len(first)))
+        groups = self._groups[key]
+        # A representation of all lengths has every column: no copy.
+        return groups if vocab.size == len(groups) else groups[vocab.columns]
 
 
 def _featurizer_of(part: Texts, stoplist: frozenset[str]) -> Featurizer:

@@ -39,6 +39,13 @@ class TestTsv:
         with pytest.raises(ValueError, match="empty"):
             load_tsv(path)
 
+    def test_leading_byte_order_mark_is_not_part_of_the_first_label(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(b"\xef\xbb\xbfpos\tgood\nneg\tbad\npos\tfine\n")
+        corpus = load_tsv(path)
+        assert corpus.documents == (("good", "pos"), ("bad", "neg"), ("fine", "pos"))
+        assert corpus.labels == ("pos", "neg")
+
     def test_round_trip_is_byte_exact(self, tmp_path):
         tricky = LabeledCorpus.from_pairs(
             [

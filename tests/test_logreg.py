@@ -19,7 +19,7 @@ from textopt.logreg import (
     LabeledRows,
     Model,
     TrainConfig,
-    _logsumexp_rows,
+    _logsumexp_classes,
     evaluate_accuracy,
     objective_and_gradient,
     predict,
@@ -298,12 +298,16 @@ class TestLogsumexpRows:
         yield tied
         yield np.array([[700.0, -700.0, 700.0], [-700.0, -700.0, -700.0], [700.0, 699.5, 0.0]])
         yield np.array([[0.0, -np.inf], [-np.inf, -np.inf], [np.inf, 1.0], [np.nan, 0.0]])
+        # Past 8 classes numpy sums a row in pairwise blocks, not left to right.
+        many = rng.normal(scale=5.0, size=(300, 20))
+        many[::3, 7] = many[::3, 2]  # tied maxima among many classes
+        yield many
 
     def test_bitwise_equal_to_scipy(self):
         for scores in self._rows():
             with np.errstate(invalid="ignore"):
                 expected = scipy.special.logsumexp(scores, axis=1)
-            assert _logsumexp_rows(scores).tobytes() == expected.tobytes()
+            assert _logsumexp_classes(np.ascontiguousarray(scores.T)).tobytes() == expected.tobytes()
 
 
 class TestTrainL1:
@@ -593,6 +597,15 @@ class TestMergedColumns:
         assert root.tolist() == [math.sqrt(2.0), 1.0, 1.0]
         assert np.array_equal(merged.toarray(), dense[:, :3] * root)
 
+    def test_given_groups_train_the_same_model(self):
+        rows, _, labels, copy_of = planted_copies_instance(np.random.default_rng(44))
+        grouped = LabeledRows(rows.x, rows.labels, copy_of)
+        for penalty in ("l1", "l2"):
+            config = TrainConfig(penalty, 5.0, 1e-8)
+            found, given = train(rows, config, labels), train(grouped, config, labels)
+            assert found.coef.tobytes() == given.coef.tobytes()
+            assert found.intercept.tobytes() == given.intercept.tobytes()
+
     @pytest.mark.parametrize("penalty", ["l1", "l2"])
     @pytest.mark.parametrize("collide", ["constant", "nonzero count"])
     def test_hash_collisions_merge_only_identical_columns(self, monkeypatch, penalty, collide):
@@ -731,6 +744,12 @@ class TestLabeledRows:
         with pytest.raises(TypeError, match="expected a CSR matrix"):
             LabeledRows(x, ["A", "B"])
 
+    @pytest.mark.parametrize("n_groups", [0, 1, 3])
+    def test_groups_must_label_every_column(self, n_groups):
+        x = csr([{0: 1.0}] * 2, 2)
+        with pytest.raises(ValueError, match=f"^2 matrix columns but {n_groups} groups$"):
+            LabeledRows(x, ["A", "B"], np.zeros(n_groups, dtype=np.int64))
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize(
@@ -750,3 +769,23 @@ class TestTrainConfig:
         (bad,) = [value for key, value in kwargs.items() if valid.get(key) != value]
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             TrainConfig(**kwargs)
+
+
+# sha256 over (coef, intercept, converged) of l1 and l2 fits with 20 classes,
+# where numpy's sum over a row of classes runs in pairwise blocks.  Pinned
+# before the solver kept its scores class by class, which had to reproduce it.
+# Bitwise on one CPU class, as the digests above: it fails with numpy's AVX-512
+# loops switched off (see the README's "Determinism").
+MANY_CLASS_FIT_DIGEST = "65df678519e6e8753ff83360d3a9f86174d85c64ae7ca01940d2920acec5b361"
+
+
+def test_many_class_fits_match_pinned_digest():
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(47)
+    for strength in (0.3, 10.0):
+        rows, _, labels = sparse_instance(rng, n_docs=160, dim=120, k=20, density=0.06)
+        for penalty in ("l1", "l2"):
+            model = train(rows, TrainConfig(penalty, strength, 1e-5), labels)
+            digest.update(model.coef.tobytes() + model.intercept.tobytes())
+            digest.update(bytes([model.converged]))
+    assert digest.hexdigest() == MANY_CLASS_FIT_DIGEST

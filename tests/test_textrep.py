@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import textopt.textrep
+from textopt import logreg
 from textopt.data import LabeledCorpus, split_corpus, synthetic_corpus
 from textopt.pipeline import make_objective
 from textopt.textrep import (
@@ -412,6 +413,38 @@ class TestFeaturizer:
                 assert got.shape == expected.shape
                 for field in ("indptr", "indices", "data"):
                     assert getattr(got, field).tobytes() == getattr(expected, field).tobytes()
+
+    def test_column_groups_merge_every_cell_as_train_would(self):
+        corpus = with_stopwords(synthetic_corpus(120, n_classes=3, vocab_size=80, seed=4), 4)
+        train, dev = split_corpus(corpus, 0.25, seed=4)
+        stoplist = load_stopwords()
+        featurizer = Featurizer(train.texts, [dev.texts], stoplist)
+        kept = {}
+        for config in ALL_CELLS:
+            vocab = build_vocabulary(featurizer.train, config, stoplist)
+            x = vectorize_corpus(featurizer.train, vocab, config, stoplist).matrix
+            merged, column_of, root = logreg._merge_identical_columns(x)
+            got = logreg._merge_identical_columns(x, featurizer.column_groups(config))
+            assert merged.shape[1] < x.shape[1], config  # every cell has copies to merge
+            assert got[1].tobytes() == column_of.tobytes(), config
+            assert got[2].tobytes() == root.tobytes(), config
+            assert got[0].shape == merged.shape
+            for field in ("indptr", "indices", "data"):
+                assert getattr(got[0], field).tobytes() == getattr(merged, field).tobytes()
+            kept[config] = merged.shape[1]
+        # Binary weighting merges columns whose counts differ on the same documents.
+        for config in ALL_CELLS:
+            if config.weighting == "binary":
+                tf = RepresentationConfig(config.n_min, config.n_max, "tf", config.remove_stopwords)
+                tfidf = RepresentationConfig(config.n_min, config.n_max, "tfidf", config.remove_stopwords)
+                assert kept[config] <= kept[tf] == kept[tfidf]
+        assert any(kept[c] < kept[RepresentationConfig(c.n_min, c.n_max, "tf", c.remove_stopwords)]
+                   for c in ALL_CELLS if c.weighting == "binary")
+
+    def test_column_groups_need_the_vocabulary(self):
+        featurizer = Featurizer(TRAIN_TEXTS, [SCORED_TEXTS], STOPLIST)
+        with pytest.raises(ValueError, match="no vocabulary built"):
+            featurizer.column_groups(UNIGRAMS)
 
     def test_more_cells_retain_little_more_than_the_widest(self):
         corpus = with_stopwords(synthetic_corpus(300, vocab_size=300, seed=2), 2)

@@ -229,7 +229,8 @@ def _two_loop(q: np.ndarray, pairs: deque[_Pair]) -> np.ndarray:
     """L-BFGS inverse-Hessian approximation times ``q``, in place; each pair acts on its support.
 
     Pairs on all coordinates scale their s or y into one buffer, so they make
-    no temporaries.  It lives only during the call, as the temporaries did.
+    no temporaries.  The buffer is made per call: kept for a whole solve, it
+    would add a full-length vector to the solver's peak memory.
     """
     buffer = np.empty_like(q)
     alphas = []

@@ -7,11 +7,13 @@ next candidate maximizes a score inversely proportional to the density ratio.
 
 Fitting, drawing and scoring all run on the space's code rows (see
 ``space.ConfigSpace.encode``).  A trial is encoded once and keeps its row for
-the space it was encoded under; drawn candidates follow the space's
-activation rule and emit their rows as they are drawn, and explicit
-candidates go through the space's encoder.  Candidates are scored together,
-one node at a time; discrete draws take the same generator steps as
-``Generator.choice(k, p=weights)``.
+the space it was encoded under, and each suggest fits both populations from
+one matrix of the history's rows.  Drawn candidates follow the space's
+activation rule and emit their rows as they are drawn, all of them in one
+pass over a plan of plain Python values made from the above-split models;
+explicit candidates go through the space's encoder.  Candidates are scored
+together, one node at a time; discrete draws take the same generator steps
+as ``Generator.choice(k, p=weights)``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TypeVar
 
 import numpy as np
 from scipy.special import ndtr
@@ -36,6 +38,8 @@ from .space import (
 )
 
 log = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -146,17 +150,31 @@ class ParzenCategorical:
             raise ValueError("weights must be strictly positive")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
-        cdf = w.cumsum()
-        cdf /= cdf[-1]
-        object.__setattr__(self, "_cdf", cdf.tolist())
+        object.__setattr__(self, "_cdf", _cdf(w))
 
-    def sample_index(self, rng: np.random.Generator) -> int:
-        """Index of one draw, with the same value and generator steps as ``rng.choice(k, p=weights)``.
 
-        The last cdf entry is exactly 1, so the index stays below k;
-        ``bisect_right`` finds the index ``searchsorted(side="right")`` would.
-        """
-        return bisect_right(self._cdf, rng.random())
+def _cdf(weights: np.ndarray) -> list[float]:
+    """Cumulative weights scaled so the last entry is exactly 1.
+
+    A draw is ``bisect_right(cdf, rng.random())``: the index
+    ``searchsorted(side="right")`` would find, so it takes the same value
+    and generator steps as ``rng.choice(k, p=weights)`` and stays below k.
+    """
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _unchecked(cls: type[_T], **fields: object) -> _T:
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, skipping ``__post_init__``.
+
+    For models the fitters build valid by construction; every other caller
+    goes through the checking constructor.
+    """
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
 
 
 def fit_categorical(
@@ -172,13 +190,16 @@ def fit_categorical(
 def _smoothed_counts(
     indices: np.ndarray, domain: Categorical | IntRange, smoothing: float
 ) -> ParzenCategorical:
-    """The categorical with weight(c) proportional to smoothing + the count of c in ``indices``."""
+    """The categorical with weight(c) proportional to smoothing + the count of c in ``indices``.
+
+    Positive smoothing makes every weight positive, and the weights sum to 1.
+    """
     if smoothing <= 0.0:
         raise ValueError(f"smoothing must be positive, got {smoothing}")
     counts = np.bincount(indices, minlength=len(domain.choices))
     weights = counts + smoothing
     weights /= weights.sum()
-    return ParzenCategorical(domain, weights)
+    return _unchecked(ParzenCategorical, domain=domain, weights=weights, _cdf=_cdf(weights))
 
 
 @dataclass(frozen=True)
@@ -209,9 +230,7 @@ class ParzenContinuous:
             raise ValueError("widths must be positive")
         if np.any(centers < self.lo) or np.any(centers > self.hi):
             raise ValueError("centers must lie within bounds")
-        # In-bounds probability mass of each untruncated component.
-        mass = ndtr((self.hi - centers) / widths) - ndtr((self.lo - centers) / widths)
-        object.__setattr__(self, "_mass", mass)
+        object.__setattr__(self, "_mass", _mass(centers, widths, self.lo, self.hi))
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Mixture density at x; accepts scalars or arrays, zero outside bounds."""
@@ -222,18 +241,10 @@ class ParzenContinuous:
         density = np.where((xs < self.lo) | (xs > self.hi), 0.0, density)
         return float(density) if np.ndim(x) == 0 else density
 
-    def sample(self, rng: np.random.Generator) -> float:
-        """One draw from the truncated mixture, by rejection.
 
-        After ``MAX_REJECTION_DRAWS`` out-of-bounds draws the last one is
-        clipped into [lo, hi].
-        """
-        i = int(rng.integers(self.centers.size))
-        for _ in range(MAX_REJECTION_DRAWS):
-            x = float(rng.normal(self.centers[i], self.widths[i]))
-            if self.lo <= x <= self.hi:
-                return x
-        return min(max(x, self.lo), self.hi)
+def _mass(centers: np.ndarray, widths: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """In-bounds probability mass of each untruncated component."""
+    return ndtr((hi - centers) / widths) - ndtr((lo - centers) / widths)
 
 
 def fit_continuous(observations: Sequence[float], domain: Continuous) -> ParzenContinuous:
@@ -242,7 +253,9 @@ def fit_continuous(observations: Sequence[float], domain: Continuous) -> ParzenC
     Each observed center gets a width equal to the larger of its distances to
     the neighboring centers, with the domain bounds acting as virtual
     outermost neighbors; widths are clipped to [1e-3 * range, range].  A
-    prior pseudo-component (midpoint, full range) is always appended.
+    prior pseudo-component (midpoint, full range) is always appended.  The
+    centers are clipped into bounds and the widths are positive, so the
+    mixture is built without the constructor's checks.
     """
     lo, hi = domain.internal_bounds
     span = hi - lo
@@ -260,7 +273,10 @@ def fit_continuous(observations: Sequence[float], domain: Continuous) -> ParzenC
     centers = np.append(obs, 0.5 * (lo + hi))
     widths = np.append(widths, span)
     widths = np.clip(widths, MIN_WIDTH_FRACTION * span, span)
-    return ParzenContinuous(centers, widths, lo, hi)
+    return _unchecked(
+        ParzenContinuous, centers=centers, widths=widths, lo=lo, hi=hi,
+        _mass=_mass(centers, widths, lo, hi),
+    )
 
 
 ParzenModel = ParzenCategorical | ParzenContinuous
@@ -285,11 +301,14 @@ def _trial_codes(space: ConfigSpace, trials: Sequence[TrialRecord]) -> np.ndarra
 
 
 def fit_node_models(
-    space: ConfigSpace, trials: Sequence[TrialRecord], smoothing: float
+    space: ConfigSpace, codes: np.ndarray, smoothing: float
 ) -> dict[str, ParzenModel]:
-    """One density per node from the active entries of its column of the trials' code rows."""
+    """One density per node from the active entries of its column of the code rows ``codes``.
+
+    Both fits ignore the order of the rows.
+    """
     models: dict[str, ParzenModel] = {}
-    for node, column in zip(space.nodes, _trial_codes(space, trials).T):
+    for node, column in zip(space.nodes, codes.T):
         column = column[~np.isnan(column)]
         if isinstance(node.domain, Continuous):
             models[node.name] = fit_continuous(column, node.domain)
@@ -299,28 +318,70 @@ def fit_node_models(
     return models
 
 
+def _draws(
+    space: ConfigSpace, models: NodeModels, n: int, rng: np.random.Generator
+) -> tuple[list[Assignment], list[list[float]]]:
+    """``n`` assignments drawn root to leaf from ``models``, with their code rows.
+
+    A plan made once holds, per node, its parent link and its model as plain
+    Python values: a discrete node's cdf and choices, a continuous node's
+    centers, widths and bounds.  Each candidate then takes the generator
+    calls that drawing it alone would, in the same order: one ``random()``
+    per discrete node, and per continuous node one ``integers(components)``
+    and ``normal(center, width)`` until a draw lands in bounds.  After
+    ``MAX_REJECTION_DRAWS`` out-of-bounds draws the last one is clipped.
+    """
+    plan = []
+    for j, (node, link) in enumerate(zip(space.nodes, space._links)):
+        domain = node.domain
+        if isinstance(domain, Continuous):
+            mixture: ParzenContinuous = models[node.name]  # type: ignore[assignment]
+            sampler = (
+                mixture.centers.tolist(), mixture.widths.tolist(),
+                mixture.lo, mixture.hi, domain.lo, domain.hi, domain.scale == "log10",
+            )
+            plan.append((j, node.name, link, None, sampler))
+        else:
+            categorical: ParzenCategorical = models[node.name]  # type: ignore[assignment]
+            plan.append((j, node.name, link, categorical._cdf, domain.choices))
+    random, integers, normal = rng.random, rng.integers, rng.normal
+    assignments: list[Assignment] = []
+    rows: list[list[float]] = []
+    for _ in range(n):
+        assignment: Assignment = {}
+        codes = [math.nan] * len(plan)
+        for j, name, link, cdf, data in plan:
+            if link is not None and codes[link[0]] not in link[1]:
+                continue
+            if cdf is not None:
+                i = bisect_right(cdf, random())
+                assignment[name] = data[i]
+                codes[j] = i
+                continue
+            centers, widths, lo, hi, value_lo, value_hi, log10 = data
+            k = int(integers(len(centers)))
+            for _ in range(MAX_REJECTION_DRAWS):
+                x = normal(centers[k], widths[k])
+                if lo <= x <= hi:
+                    break
+            else:
+                x = min(max(x, lo), hi)
+            # Continuous.from_internal, then the code of the value as assigned,
+            # which encoding it would give, not the draw it rounded and clipped.
+            value = min(max(10.0**x if log10 else x, value_lo), value_hi)
+            assignment[name] = value
+            codes[j] = math.log10(value) if log10 else value
+        assignments.append(assignment)
+        rows.append(codes)
+    return assignments, rows
+
+
 def _draw(
     space: ConfigSpace, models: NodeModels, rng: np.random.Generator
 ) -> tuple[Assignment, list[float]]:
     """One assignment drawn root to leaf from ``models``, with its code row."""
-    assignment: Assignment = {}
-    codes = [math.nan] * len(space.nodes)
-    for j, node in enumerate(space.nodes):
-        if not space.active(j, codes):
-            continue
-        model = models[node.name]
-        domain = node.domain
-        if isinstance(domain, Continuous):
-            value: Value = domain.from_internal(model.sample(rng))  # type: ignore[arg-type]
-            # The code of the value as assigned, which encoding it would give,
-            # not the draw that from_internal rounded and clipped.
-            codes[j] = domain.to_internal(value)
-        else:
-            i = model.sample_index(rng)  # type: ignore[union-attr]
-            value = domain.choices[i]
-            codes[j] = i
-        assignment[node.name] = value
-    return assignment, codes
+    assignments, rows = _draws(space, models, 1, rng)
+    return assignments[0], rows[0]
 
 
 def _densities(
@@ -392,13 +453,16 @@ def suggest(
     usable = [r for r in history if math.isfinite(r.y)]
     if len(usable) < params.n_startup or not usable:
         return sample_prior(space, rng)
-    split = split_history(usable, params.gamma)
-    below_models = fit_node_models(space, split.below, params.smoothing)
-    above_models = fit_node_models(space, split.above, params.smoothing)
+    # The split is the trials below y* and the rest, so each population's
+    # rows are taken from one matrix of the usable trials' rows.
+    y_star = split_history(usable, params.gamma).y_star
+    below = np.array([r.y for r in usable]) < y_star
+    history_codes = _trial_codes(space, usable)
+    below_models = fit_node_models(space, history_codes[below], params.smoothing)
+    above_models = fit_node_models(space, history_codes[~below], params.smoothing)
     if candidates is None:
-        drawn = [_draw(space, above_models, rng) for _ in range(params.n_candidates)]
-        candidates = [assignment for assignment, _ in drawn]
-        codes = _stack(space, [row for _, row in drawn])
+        candidates, rows = _draws(space, above_models, params.n_candidates, rng)
+        codes = _stack(space, rows)
     else:
         codes = _stack(space, [space.encode(c) for c in candidates])
     try:

@@ -638,6 +638,10 @@ class TestMergedColumns:
 # whose columns are all distinct, pinned before training merged identical
 # columns: such problems train exactly as before.  Bitwise on the numpy and
 # scipy build CI installs, as the l2 digest below.
+# Pinned on an x86-64 CPU with AVX-512 (numpy dispatch finds X86_V4, AVX512_ICL and
+# AVX512_SPR).  With those loops off it fails; to see it:
+#   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" PYTHONPATH=src \
+#     python -m pytest tests/test_logreg.py -k test_distinct_column_fits_match_pinned_digest
 DISTINCT_FIT_DIGEST = "f197e1098025fc1f686a2ec4bc11ee9ef310c26f332fc7d5af7b5297c2e87b5e"
 
 
@@ -658,6 +662,10 @@ def test_distinct_column_fits_match_pinned_digest():
 # l2 fits last changed.  The fits are bitwise reproducible on one numpy and
 # scipy build (the versions CI installs); another BLAS may sum dot products in
 # another order.  A deliberate change of l2 fits updates it and says so.
+# Pinned on an x86-64 CPU with AVX-512 (numpy dispatch finds X86_V4, AVX512_ICL and
+# AVX512_SPR).  With those loops off it fails; to see it:
+#   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" PYTHONPATH=src \
+#     python -m pytest tests/test_logreg.py -k test_l2_fits_match_pinned_digest
 L2_FIT_DIGEST = "e7bf1f1f601c13d46122c4116dcf08058f6d411c5a14a2a120b3ad504a626569"
 
 
@@ -776,6 +784,10 @@ class TestTrainConfig:
 # before the solver kept its scores class by class, which had to reproduce it.
 # Bitwise on one CPU class, as the digests above: it fails with numpy's AVX-512
 # loops switched off (see the README's "Determinism").
+# Pinned on an x86-64 CPU with AVX-512 (numpy dispatch finds X86_V4, AVX512_ICL and
+# AVX512_SPR).  With those loops off it fails; to see it:
+#   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" PYTHONPATH=src \
+#     python -m pytest tests/test_logreg.py -k test_many_class_fits_match_pinned_digest
 MANY_CLASS_FIT_DIGEST = "65df678519e6e8753ff83360d3a9f86174d85c64ae7ca01940d2920acec5b361"
 
 

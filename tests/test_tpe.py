@@ -38,6 +38,7 @@ from textopt.tpe import (
     suggest,
     _densities,
     _draw,
+    _trial_codes,
 )
 
 WEIGHT_DOMAIN = Categorical(("tf", "tf-idf", "binary"))
@@ -50,6 +51,11 @@ def records(ys):
 def encoded(space, *assignments):
     """The assignments' code rows, one matrix row each, as the space's encoder gives them."""
     return np.array([space.encode(a) for a in assignments], dtype=float)
+
+
+def fit_models(space, trials, smoothing):
+    """The node models fitted to the trials' code rows."""
+    return fit_node_models(space, _trial_codes(space, trials), smoothing)
 
 
 def path_density(space, models, assignment):
@@ -138,12 +144,13 @@ class TestFitCategorical:
         rng = np.random.default_rng(31)
         for k in (1, 2, 3, 5, 11):
             domain = Categorical(tuple(range(k)))
+            space = define_space([ParamNode("c", domain)])
             for _ in range(20):
                 obs = list(rng.integers(k, size=int(rng.integers(0, 300))))
                 model = fit_categorical([int(o) for o in obs], domain, smoothing)
                 seed = int(rng.integers(2**31))
                 ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-                drawn = [model.sample_index(ours) for _ in range(25)]
+                drawn = [_draw(space, {"c": model}, ours)[0]["c"] for _ in range(25)]
                 expected = [int(theirs.choice(k, p=model.weights)) for _ in range(25)]
                 assert drawn == expected
                 assert ours.bit_generator.state == theirs.bit_generator.state
@@ -156,7 +163,7 @@ class TestFitCategorical:
         history = [
             TrialRecord({"k": int(rng.integers(2, 7))}, float(rng.random())) for _ in range(15)
         ]
-        models = [fit_node_models(space, history, smoothing=1.0)["k"] for space in spaces]
+        models = [fit_models(space, history, smoothing=1.0)["k"] for space in spaces]
         assert models[0].domain is ints
         assert models[0].weights.tolist() == models[1].weights.tolist()
         weights = fit_categorical([2, 2, 5], ints, 1.0).weights.tolist()
@@ -225,15 +232,19 @@ class TestFitContinuous:
         assert abs(simpson_integral(model) - 1.0) <= 1e-3
 
     def test_sample_in_bounds(self):
+        space = define_space([ParamNode("x", self.UNIT)])
         model = fit_continuous([0.05, 0.5, 0.95], self.UNIT)
         rng = np.random.default_rng(22)
-        draws = [model.sample(rng) for _ in range(500)]
-        assert all(0.0 <= x <= 1.0 for x in draws)
+        draws = [_draw(space, {"x": model}, rng) for _ in range(500)]
+        assert all(0.0 <= a["x"] <= 1.0 and 0.0 <= row[0] <= 1.0 for a, row in draws)
 
     @pytest.mark.parametrize("out_of_bounds, clipped", [(7.0, 1.0), (-7.0, 0.0)])
     def test_sample_rejection_loop_is_capped(self, out_of_bounds, clipped):
         class AlwaysOutOfBounds:
             normal_calls = 0
+
+            def random(self):
+                pytest.fail("a continuous draw took a uniform draw")
 
             def integers(self, n):
                 return 0
@@ -243,8 +254,9 @@ class TestFitContinuous:
                 return out_of_bounds
 
         rng = AlwaysOutOfBounds()
+        space = define_space([ParamNode("x", self.UNIT)])
         model = fit_continuous([0.5], self.UNIT)
-        assert model.sample(rng) == clipped
+        assert _draw(space, {"x": model}, rng) == ({"x": clipped}, [clipped])
         assert rng.normal_calls == MAX_REJECTION_DRAWS
 
 
@@ -254,7 +266,7 @@ class TestPathDensity:
             [ParamNode("a", Categorical(("x", "y"))), ParamNode("b", Categorical(("p", "q")))]
         )
         trials = [TrialRecord({"a": "x", "b": "p"}, 0.5)]
-        models = fit_node_models(space, trials, smoothing=1.0)
+        models = fit_models(space, trials, smoothing=1.0)
         a = {"a": "x", "b": "p"}
         assert path_density(space, models, a) == pytest.approx(
             models["a"].weights[0] * models["b"].weights[0]
@@ -267,7 +279,7 @@ class TestPathDensity:
                 ParamNode("b", Categorical(("p", "q")), Condition("a", ("x",))),
             ]
         )
-        models = fit_node_models(space, [], smoothing=1.0)
+        models = fit_models(space, [], smoothing=1.0)
         # With a=y the child is inactive, so only the root factor remains.
         assert path_density(space, models, {"a": "y"}) == pytest.approx(models["a"].weights[1])
 
@@ -278,7 +290,7 @@ class TestPathDensity:
                 ParamNode("b", Categorical(("p", "q")), Condition("a", ("x",))),
             ]
         )
-        base = fit_node_models(space, [], smoothing=1.0)
+        base = fit_models(space, [], smoothing=1.0)
         skewed = dict(base)
         skewed["b"] = fit_categorical(["p"] * 50, Categorical(("p", "q")), smoothing=0.01)
         assignment = {"a": "y"}
@@ -293,7 +305,7 @@ class TestPathDensity:
         domain = Continuous(1e-5, 1e5, "log10")
         space = define_space([ParamNode("s", domain)])
         trials = [TrialRecord({"s": 1.0}, 0.5)]
-        models = fit_node_models(space, trials, smoothing=1.0)
+        models = fit_models(space, trials, smoothing=1.0)
         expected = models["s"].pdf(domain.to_internal(10.0))
         assert path_density(space, models, {"s": 10.0}) == pytest.approx(expected)
 
@@ -328,7 +340,7 @@ class TestSampleCandidate:
     def test_concentrated_categorical(self):
         space = define_space([ParamNode("weighting", WEIGHT_DOMAIN)])
         trials = [TrialRecord({"weighting": "binary"}, 0.9)] * 40
-        models = fit_node_models(space, trials, smoothing=1e-6)
+        models = fit_models(space, trials, smoothing=1e-6)
         rng = np.random.default_rng(0)
         draws = [_draw(space, models, rng)[0]["weighting"] for _ in range(200)]
         assert draws.count("binary") == 200
@@ -340,7 +352,7 @@ class TestSampleCandidate:
                 ParamNode("s", Continuous(1e-5, 1e5, "log10")),
             ]
         )
-        models = fit_node_models(space, [], smoothing=1.0)
+        models = fit_models(space, [], smoothing=1.0)
         np.testing.assert_allclose(models["a"].weights, [0.5, 0.5])
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -354,7 +366,7 @@ class TestSampleCandidate:
             TrialRecord({"w": "tf"}, 0.5),
             TrialRecord({"w": "binary"}, 0.5),
         ]
-        models = fit_node_models(space, trials, smoothing=1.0)
+        models = fit_models(space, trials, smoothing=1.0)
         rng = np.random.default_rng(9)
         n = 100_000
         draws = [_draw(space, models, rng)[0]["w"] for _ in range(n)]
@@ -368,7 +380,7 @@ class TestSampleCandidate:
                 ParamNode("b", Categorical(("p", "q")), Condition("a", ("x",))),
             ]
         )
-        models = fit_node_models(space, [], smoothing=1.0)
+        models = fit_models(space, [], smoothing=1.0)
         rng = np.random.default_rng(8)
         for _ in range(100):
             candidate = _draw(space, models, rng)[0]
@@ -577,10 +589,25 @@ def scalar_fit(space, trials, smoothing):
     return models
 
 
-def scalar_suggest(space, history, params, rng):
-    """Reference suggest: candidates scored one at a time, strict '>' argmax.
+def rejection_sample(model, rng):
+    """Reference continuous draw: one component, then normal draws until one lands in bounds.
 
-    Categorical draws go through rng.choice(k, p=weights) directly.
+    After ``MAX_REJECTION_DRAWS`` out-of-bounds draws the last one is clipped
+    into [lo, hi].
+    """
+    i = int(rng.integers(model.centers.size))
+    for _ in range(MAX_REJECTION_DRAWS):
+        x = float(rng.normal(model.centers[i], model.widths[i]))
+        if model.lo <= x <= model.hi:
+            return x
+    return min(max(x, model.lo), model.hi)
+
+
+def scalar_suggest(space, history, params, rng):
+    """Reference suggest: candidates drawn and scored one at a time, strict '>' argmax.
+
+    Categorical draws go through rng.choice(k, p=weights) directly, and
+    continuous draws through ``rejection_sample``.
     """
     usable = [r for r in history if math.isfinite(r.y)]
     if len(usable) < params.n_startup or not usable:
@@ -596,7 +623,7 @@ def scalar_suggest(space, history, params, rng):
                 continue
             model = above[node.name]
             if isinstance(node.domain, Continuous):
-                cand[node.name] = node.domain.from_internal(model.sample(rng))
+                cand[node.name] = node.domain.from_internal(rejection_sample(model, rng))
             else:
                 k = len(model.weights)
                 cand[node.name] = model.domain.choices[int(rng.choice(k, p=model.weights))]
@@ -662,8 +689,8 @@ class TestBatchScoring:
                 for _ in range(int(rng.integers(2, 80)))
             ]
             split = split_history(history, 0.85)
-            below = fit_node_models(space, split.below, 1.0)
-            above = fit_node_models(space, split.above, 1.0)
+            below = fit_models(space, split.below, 1.0)
+            above = fit_models(space, split.above, 1.0)
             for models, trials in ((below, split.below), (above, split.above)):
                 reference = scalar_fit(space, trials, 1.0)
                 for name, model in models.items():
@@ -702,12 +729,52 @@ class TestBatchScoring:
     def test_run_history_matches_scalar_reference(self, space_name, monkeypatch):
         space = SPACES[space_name]()
         params = TpeParams(seed=3)
-        batch = smbo.run(space, cheap_objective, 60, params)
-        monkeypatch.setattr(smbo, "suggest", scalar_suggest)
-        reference = smbo.run(space, cheap_objective, 60, params)
-        assert [(r.assignment, r.y) for r in batch.history] == [
-            (r.assignment, r.y) for r in reference.history
-        ]
+        runs = []
+        for suggest_fn in (suggest, scalar_suggest):
+            states = []
+
+            def recording(space, history, params, rng, suggest_fn=suggest_fn, states=states):
+                suggestion = suggest_fn(space, history, params, rng)
+                states.append(rng.bit_generator.state)
+                return suggestion
+
+            monkeypatch.setattr(smbo, "suggest", recording)
+            state = smbo.run(space, cheap_objective, 60, params)
+            runs.append(([(r.assignment, r.y) for r in state.history], states))
+        (batch, batch_states), (reference, reference_states) = runs
+        assert batch == reference
+        # The generator ends every suggest in the same state as the reference's.
+        assert len(batch_states) == 60
+        assert batch_states == reference_states
+
+    @pytest.mark.parametrize("space_name", sorted(SPACES))
+    def test_fitted_models_equal_checked_constructions(self, space_name):
+        # The fitters build their models without the constructors' checks.
+        # The checking constructors, given the reference fit's weights or
+        # components, must build the same bytes.
+        space = SPACES[space_name]()
+        rng = np.random.default_rng(17)
+        for _ in range(15):
+            history = [
+                TrialRecord(sample_prior(space, rng), float(rng.random()))
+                for _ in range(int(rng.integers(0, 80)))
+            ]
+            reference = scalar_fit(space, history, 1.0)
+            for name, model in fit_models(space, history, 1.0).items():
+                expected = reference[name]
+                if isinstance(model, ParzenContinuous):
+                    checked = ParzenContinuous(
+                        expected.centers.copy(), expected.widths.copy(), expected.lo, expected.hi
+                    )
+                    assert (model.lo, model.hi) == (checked.lo, checked.hi)
+                    fields = ("centers", "widths", "_mass")
+                else:
+                    checked = ParzenCategorical(model.domain, expected.weights)
+                    fields = ("weights", "_cdf")
+                for field in fields:
+                    ours, theirs = getattr(model, field), getattr(checked, field)
+                    assert type(ours) is type(theirs)
+                    assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
 
     @pytest.mark.parametrize("space_name", sorted(SPACES))
     def test_drawn_rows_equal_encoded_draws(self, space_name):
@@ -716,7 +783,7 @@ class TestBatchScoring:
         space = SPACES[space_name]()
         rng = np.random.default_rng(13)
         history = [TrialRecord(sample_prior(space, rng), float(rng.random())) for _ in range(30)]
-        models = fit_node_models(space, history, smoothing=1.0)
+        models = fit_models(space, history, smoothing=1.0)
         for _ in range(200):
             assignment, row = _draw(space, models, rng)
             np.testing.assert_array_equal(row, space.encode(assignment))
@@ -748,7 +815,7 @@ class TestBatchScoring:
             [ParamNode("b", IntRange(2, 4)), ParamNode("a", Categorical(("z", "y", "x")))]
         )
         for space in (first, second, first):
-            models = fit_node_models(space, [record], smoothing=1.0)
+            models = fit_models(space, [record], smoothing=1.0)
             for node in space.nodes:
                 expected = fit_categorical([record.assignment[node.name]], node.domain, 1.0)
                 assert models[node.name].weights.tolist() == expected.weights.tolist()
@@ -758,9 +825,9 @@ class TestBatchScoring:
         monkeypatch.setattr(
             ConfigSpace, "encode", lambda self, a: calls.append((self, a)) or original(self, a)
         )
-        fit_node_models(first, [record], smoothing=1.0)
+        fit_models(first, [record], smoothing=1.0)
         assert calls == []
-        fit_node_models(second, [record], smoothing=1.0)
+        fit_models(second, [record], smoothing=1.0)
         assert calls == [(second, record.assignment)]
 
     def test_pdf_calls_per_suggest_do_not_grow_with_candidates(self, monkeypatch):

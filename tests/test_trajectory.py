@@ -1,4 +1,4 @@
-"""The pairwise summary that tools/trajectory.py prints for two or more checkouts."""
+"""The pairwise summary that tools/trajectory.py prints for two or more checkouts, and its anchor ratios."""
 
 from __future__ import annotations
 
@@ -60,3 +60,17 @@ def test_pairs_must_share_seeds():
     other = runs([2, 1], run_s=[1.0, 1.0], best_objective=[0.5, 0.5])
     with pytest.raises(ValueError, match="different seeds"):
         trajectory.pairwise([("a", base), ("b", other)], BETTER)
+
+
+def test_medians_as_ratios_to_the_anchor():
+    def summary(**medians):
+        return {name: {"unit": "s", "median": m, "q1": m, "q3": m} for name, m in medians.items()}
+
+    anchor = summary(run_s=3.0, best_objective=0.0, trace_s=1.0)
+    change = summary(run_s=1.5, best_objective=0.5, trace_s=2.0)
+    anchored = trajectory.to_anchor(change, anchor, ["run_s", "best_objective"])
+    # 1.5 against 3.0; an anchor median of 0 gives no ratio; unnamed metrics get none.
+    assert anchored["run_s"] == {**change["run_s"], "to_anchor": 0.5}
+    assert anchored["best_objective"]["to_anchor"] is None
+    assert anchored["trace_s"] == change["trace_s"]
+    assert "to_anchor" not in change["run_s"]

@@ -16,6 +16,18 @@ checkout it ends by printing, per workload and end-to-end metric, each
 checkout's median against the first's, the first's quartile distance, and
 the seed pairs each side won.  Exits with 1 when a run's checks fail or it
 reports failed trials.
+
+Files from different sessions compare only through an anchor: a checkout of
+the fixed commit ``ANCHOR``, given with ``--anchor`` and benchmarked in the
+same sets as the others.
+
+    git clone -q . ../anchor && git -C ../anchor checkout -q 9ef624f
+    python3 tools/trajectory.py --checkout ../parent --checkout . --anchor ../anchor \
+        --workload suggest-long --seeds 1 2 3
+
+Each file written then holds the anchor's commit and summary, and per
+workload each end-to-end metric's median as a ratio to the anchor's median
+(``to_anchor``).  No file is written for the anchor itself.
 """
 
 from __future__ import annotations
@@ -33,6 +45,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MEASURED = ("src", "benchmark", "BENCHMARK.json")
+# The commit the anchor checkout must be at; it moves only at a re-anchor.
+ANCHOR = "9ef624f"
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -65,6 +79,18 @@ def summary(runs: list[dict]) -> dict:
         name: {"unit": metric["unit"], **quartiles([run["metrics"][name]["value"] for run in runs])}
         for name, metric in runs[0]["metrics"].items()
     }
+
+
+def to_anchor(metrics: dict, anchor: dict, names: list[str]) -> dict:
+    """``metrics`` (a ``summary``) with each named metric's median divided by the anchor's.
+
+    The ratio is None where the anchor's median is 0.
+    """
+    out = {name: dict(value) for name, value in metrics.items()}
+    for name in names:
+        base = anchor[name]["median"]
+        out[name]["to_anchor"] = out[name]["median"] / base if base else None
+    return out
 
 
 def pairwise(runs: list[tuple[str, list[dict]]], better: dict[str, str]) -> list[str]:
@@ -106,11 +132,17 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--out", type=Path, default=ROOT, help="directory for the BENCH files")
+    parser.add_argument("--anchor", type=Path,
+                        help=f"a checkout of {ANCHOR}, benchmarked alongside for the to_anchor ratios")
     args = parser.parse_args()
     checkouts = [path.resolve() for path in args.checkout or [ROOT]]
+    anchor = args.anchor.resolve() if args.anchor else None
+    if anchor and not git(anchor, "rev-parse", "HEAD").startswith(ANCHOR):
+        parser.error(f"{anchor} is not at the anchor commit {ANCHOR}")
+    benchmarked = checkouts + [anchor] if anchor else checkouts
 
     results = {}
-    for checkout in checkouts:
+    for checkout in benchmarked:
         if git(checkout, "status", "--porcelain", "--", *MEASURED):
             parser.error(f"{checkout} has uncommitted changes under {', '.join(MEASURED)}")
         results[checkout] = {
@@ -128,29 +160,44 @@ def main() -> int:
 
     ok = True
     for workload in args.workload:
-        runs = {checkout: [] for checkout in checkouts}
+        runs = {checkout: [] for checkout in benchmarked}
         for i, seed in enumerate(args.seeds):
-            for checkout in checkouts if i % 2 == 0 else checkouts[::-1]:
+            for checkout in benchmarked if i % 2 == 0 else benchmarked[::-1]:
                 run = bench(checkout, workload, seed, args.seconds)
                 runs[checkout].append(run)
                 ok = ok and run["correct"] and not run["failed"]
                 values = {name: metric["value"] for name, metric in run["metrics"].items()}
                 print(f"{results[checkout]['commit'][:7]} {workload} seed {seed}: {json.dumps(values)}",
                       flush=True)
-        for checkout in checkouts:
+        for checkout in benchmarked:
             results[checkout]["workloads"][workload] = {
                 "seeds": args.seeds,
                 "metrics": summary(runs[checkout]),
                 "runs": runs[checkout],
             }
 
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     args.out.mkdir(parents=True, exist_ok=True)
-    for result in results.values():
+    for checkout in checkouts:
+        result = results[checkout]
+        if anchor:
+            anchored = results[anchor]
+            result["anchor"] = {
+                "commit": anchored["commit"],
+                "benchmark": anchored["benchmark"],
+                "workloads": {w: {"metrics": v["metrics"]} for w, v in anchored["workloads"].items()},
+            }
+            for workload, values in result["workloads"].items():
+                values["metrics"] = to_anchor(
+                    values["metrics"], anchored["workloads"][workload]["metrics"], list(better)
+                )
+                ratios = {name: values["metrics"][name]["to_anchor"] for name in better}
+                print(f"{result['commit'][:7]} {workload} to anchor {anchored['commit'][:7]}: "
+                      f"{json.dumps(ratios)}")
         path = args.out / f"BENCH_{result['commit']}.json"
         path.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {path}")
     if len(checkouts) > 1:
-        better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
         for workload in args.workload:
             compared = [(results[c]["commit"][:7], results[c]["workloads"][workload]["runs"])
                         for c in checkouts]

@@ -19,11 +19,23 @@ unchanged.  Every inner product, norm and sign the solver uses is then the
 full problem's, so the iterates are the ones the full problem would take, up
 to rounding; the stop rule is measured in the full problem's units, and each
 member of a merged set gets the merged coefficient over sqrt(m).
+
+A two-class problem is solved as one weight vector.  From zero weights the
+full problem's iterates stay on the subspace w1 = -w0, b1 = -b0: the softmax
+gradient sums to zero over the classes, and for two classes the l1
+pseudo-gradient, sign filter and orthant projection are antisymmetric too.
+The solver runs on that subspace in orthonormal coordinates u = sqrt(2) * w0
+and c = sqrt(2) * b0, where the loss is C * sum softplus(-+sqrt(2) (x.u + c))
+(minus for the first class), the l2 penalty is still |u|^2 / 2 and the l1
+penalty weighs sqrt(2) per unit of |u|.  Inner products and norms are the
+full problem's, so the iterates are the ones it would take, up to rounding,
+with one sparse product per value or gradient and vectors of half the length.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -50,6 +62,7 @@ _ALL = slice(None)
 _Pair = tuple[np.ndarray | slice, np.ndarray, np.ndarray, float]
 # Seed of the random projections that hash training columns.
 _HASH_SEED = 0
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -196,6 +209,48 @@ def _objective(
     return loss + float(np.sum(np.abs(coef) * root)), gradient
 
 
+def _binary_objective(
+    z: np.ndarray,
+    x: scipy.sparse.csr_matrix,
+    x_t: scipy.sparse.csr_matrix,
+    sign: np.ndarray,
+    config: TrainConfig,
+    weight: np.ndarray,
+) -> tuple[float, Callable[[], np.ndarray]]:
+    """``_objective`` of a two-class problem on its subspace w1 = -w0, b1 = -b0.
+
+    ``z`` holds u = sqrt(2) * w0 over the F columns, then c = sqrt(2) * b0.
+    The loss is C * sum softplus(sign * (x @ u + c)), where ``sign`` is
+    -sqrt(2) on examples of the first class and sqrt(2) on the others.  The
+    gradient's residuals are expit of the same margins with the sign of
+    ``sign``, and C * sqrt(2) scales their products: at zero they are the
+    full problem's +-1/2, so an exact zero there (the intercept's, on
+    balanced classes) stays exact.  Column j's l1 penalty weighs
+    ``weight[j]``, sqrt(2) times the full problem's; the l2 penalty is
+    |u|^2 / 2.
+    """
+    n_features = x.shape[1]
+    u = z[:n_features]
+    margins = x @ u
+    margins += z[n_features]
+    margins *= sign
+    loss = config.strength * float(np.logaddexp(0.0, margins).sum())
+
+    def gradient() -> np.ndarray:
+        residuals = np.copysign(scipy.special.expit(margins), sign)
+        scale = config.strength * _SQRT2
+        grad = np.empty_like(z)
+        np.multiply(x_t @ residuals, scale, out=grad[:n_features])
+        grad[n_features] = scale * float(residuals.sum())
+        if config.penalty == "l2":
+            grad[:n_features] += u
+        return grad
+
+    if config.penalty == "l2":
+        return loss + 0.5 * float(u @ u), gradient
+    return loss + float(np.abs(u) @ weight), gradient
+
+
 def objective_and_gradient(
     weights: np.ndarray,
     rows: LabeledRows,
@@ -339,32 +394,52 @@ def _solve(
     # member's, and its gradient and pseudo-gradient are sqrt(m) times each
     # member's.  The stop test divides them by root to measure the full
     # problem's infinity norm.
+    #
+    # With two classes the loop runs on one row of coefficients and one
+    # intercept, u = sqrt(2) * w0 and c = sqrt(2) * b0 (see the module
+    # docstring): only the objective differs, and the l1 weight is sqrt(2) *
+    # root.  Each coordinate's gradient is sqrt(2) times the full problem's
+    # largest one there, and so is the gradient's at zero, so the stop test
+    # decides as the full problem's.
     n_features = x.shape[1]
-    block = k * n_features
     l1 = config.penalty == "l1"
     x_t = x.T.tocsr()
-    y_flat = _flat_labels(y_idx)
+    if k == 2:
+        rows, weight = 1, _SQRT2 * root
+        sign = np.where(y_idx == 0, -_SQRT2, _SQRT2)
+
+        def objective(z: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+            return _binary_objective(z, x, x_t, sign, config, weight)
+
+    else:
+        rows, weight = k, root
+        y_flat = _flat_labels(y_idx)
+
+        def objective(z: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+            return _objective(z, x, x_t, y_flat, config, root)
+
+    block = rows * n_features
 
     def pseudo_gradient(z: np.ndarray, g: np.ndarray) -> np.ndarray:
         if not l1:
             return g
-        w, g_w = z[:block].reshape(k, n_features), g[:block].reshape(k, n_features)
+        w, g_w = z[:block].reshape(rows, n_features), g[:block].reshape(rows, n_features)
         pg = g.copy()
-        # The penalty's weight is root: sqrt(m) on a column that merges m
-        # identical ones, else 1 (strength scales the loss).
+        # The penalty's weight: sqrt(m) on a column that merges m identical
+        # ones, else 1 (strength scales the loss), times sqrt(2) for two classes.
         pg[:block] = np.where(
-            w != 0.0, g_w + np.sign(w) * root, g_w - np.clip(g_w, -root, root)
+            w != 0.0, g_w + np.sign(w) * weight, g_w - np.clip(g_w, -weight, weight)
         ).ravel()
         return pg
 
     def full_norm(v: np.ndarray) -> float:
         """Infinity norm, over the full problem's coordinates, of ``v`` at merged ones."""
         size = np.abs(v)
-        size[:block].reshape(k, n_features)[:] /= root
+        size[:block].reshape(rows, n_features)[:] /= root
         return float(np.max(size))
 
-    z = np.zeros(block + k)
-    value, gradient = _objective(z, x, x_t, y_flat, config, root)
+    z = np.zeros(block + rows)
+    value, gradient = objective(z)
     g = gradient()
     gtol = config.tolerance * full_norm(g)
     pg = pseudo_gradient(z, g)
@@ -399,7 +474,7 @@ def _solve(
                 # z, whose old entries there are z_at.
                 z_new = z
                 z_new[at] = z_new_at
-            value_new, gradient = _objective(z_new, x, x_t, y_flat, config, root)
+            value_new, gradient = objective(z_new)
             if value_new <= value + _ARMIJO * float(pg_at @ (z_new_at - z_at)):
                 break
             step *= 0.5
@@ -428,7 +503,11 @@ def _solve(
         z, g, value = z_new, g_new, value_new
         pg = pseudo_gradient(z, g)
     converged = full_norm(pg) <= gtol
-    return z[:block].reshape(k, n_features), z[block:], converged
+    coef, intercept = z[:block].reshape(rows, n_features), z[block:]
+    if rows < k:  # back from the two-class coordinates to both classes' rows
+        coef, intercept = coef / _SQRT2, intercept / _SQRT2
+        coef, intercept = np.vstack([coef, -coef]), np.concatenate([intercept, -intercept])
+    return coef, intercept, converged
 
 
 def train(rows: LabeledRows, config: TrainConfig, labels: Sequence[str]) -> Model:

@@ -95,42 +95,20 @@ class TpeParams:
             raise ValueError(f"smoothing must be positive, got {self.smoothing}")
 
 
-@dataclass(frozen=True)
-class HistorySplit:
-    """Trial history partitioned at y*: below has y < y*, above has y >= y*."""
+def _y_star(ys: np.ndarray, gamma: float) -> float:
+    """The threshold y* that splits trials with objective values ``ys``, sorted ascending.
 
-    below: tuple[TrialRecord, ...]
-    above: tuple[TrialRecord, ...]
-    y_star: float
-
-    def __post_init__(self) -> None:
-        if not self.above:
-            raise ValueError("above population must be nonempty")
-
-
-def split_history(history: Sequence[TrialRecord], gamma: float) -> HistorySplit:
-    """Partition history at the gamma quantile of objective values.
-
-    The n = floor(gamma * t) lowest trials (at least one, once t >= 2) form
-    the below population, together with every trial tied with the n-th lowest
-    value; y* is the smallest objective value of the rest.  When those ties
-    would leave nothing above, only trials strictly below the (n+1)-th lowest
-    value go below, and ties at y* land above, so the above population stays
-    nonempty.
+    The n = floor(gamma * t) lowest of the t trials (at least one, once
+    t >= 2) fall below y*, together with every trial tied with the n-th
+    lowest value, and y* is the smallest value of the rest.  When those ties
+    would leave nothing above, y* is the (n+1)-th lowest value and its ties
+    stay above it, so some trial always has y >= y*.
     """
-    if not history:
-        raise ValueError("cannot split empty history")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    ordered = sorted(history, key=lambda r: r.y)
-    t = len(ordered)
+    t = len(ys)
     n_below = max(1, math.floor(gamma * t)) if t >= 2 else 0
-    if n_below and ordered[n_below - 1].y < ordered[-1].y:
-        below = tuple(r for r in ordered if r.y <= ordered[n_below - 1].y)
-    else:
-        below = tuple(r for r in ordered[:n_below] if r.y < ordered[n_below].y)
-    above = tuple(ordered[len(below) :])
-    return HistorySplit(below, above, above[0].y)
+    if n_below and ys[n_below - 1] < ys[-1]:
+        return float(ys[np.searchsorted(ys, ys[n_below - 1], side="right")])
+    return float(ys[n_below])
 
 
 @dataclass(frozen=True)
@@ -455,8 +433,8 @@ def suggest(
         return sample_prior(space, rng)
     # The split is the trials below y* and the rest, so each population's
     # rows are taken from one matrix of the usable trials' rows.
-    y_star = split_history(usable, params.gamma).y_star
-    below = np.array([r.y for r in usable]) < y_star
+    ys = np.array([r.y for r in usable])
+    below = ys < _y_star(np.sort(ys), params.gamma)
     history_codes = _trial_codes(space, usable)
     below_models = fit_node_models(space, history_codes[below], params.smoothing)
     above_models = fit_node_models(space, history_codes[~below], params.smoothing)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -34,11 +35,11 @@ from textopt.tpe import (
     fit_categorical,
     fit_continuous,
     fit_node_models,
-    split_history,
     suggest,
     _densities,
     _draw,
     _trial_codes,
+    _y_star,
 )
 
 WEIGHT_DOMAIN = Categorical(("tf", "tf-idf", "binary"))
@@ -46,6 +47,38 @@ WEIGHT_DOMAIN = Categorical(("tf", "tf-idf", "binary"))
 
 def records(ys):
     return [TrialRecord({"y_only": i}, y) for i, y in enumerate(ys)]
+
+
+class Split(NamedTuple):
+    below: tuple[TrialRecord, ...]
+    above: tuple[TrialRecord, ...]
+    y_star: float
+
+
+def split_history(history, gamma) -> Split:
+    """The history as ``suggest`` splits it: the trials below ``_y_star``, the rest, and y*."""
+    ordered = sorted(history, key=lambda r: r.y)
+    y_star = _y_star(np.array([r.y for r in ordered]), gamma)
+    below = tuple(r for r in ordered if r.y < y_star)
+    return Split(below, tuple(ordered[len(below) :]), y_star)
+
+
+def reference_split(history, gamma) -> Split:
+    """The split rule written out on sorted trials, independently of ``_y_star``.
+
+    The n = floor(gamma * t) lowest trials (at least one, once t >= 2) go
+    below with every trial tied with the n-th lowest; when those ties would
+    leave nothing above, only the trials under the (n+1)-th lowest go below.
+    """
+    ordered = sorted(history, key=lambda r: r.y)
+    t = len(ordered)
+    n_below = max(1, math.floor(gamma * t)) if t >= 2 else 0
+    if n_below and ordered[n_below - 1].y < ordered[-1].y:
+        below = tuple(r for r in ordered if r.y <= ordered[n_below - 1].y)
+    else:
+        below = tuple(r for r in ordered[:n_below] if r.y < ordered[n_below].y)
+    above = tuple(ordered[len(below) :])
+    return Split(below, above, above[0].y)
 
 
 def encoded(space, *assignments):
@@ -107,9 +140,21 @@ class TestSplitHistory:
             if split.below:
                 assert max(r.y for r in split.below) < split.y_star
 
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            split_history([], 0.15)
+    def test_matches_reference_split(self):
+        rng = np.random.default_rng(6)
+        for gamma in (0.15, 0.5, 0.85):
+            for _ in range(200):
+                # Values from a few levels, so that most histories have ties.
+                ys = list(rng.integers(0, int(rng.integers(1, 6)), size=int(rng.integers(1, 40))) / 4)
+                split, reference = split_history(records(ys), gamma), reference_split(records(ys), gamma)
+                assert split.y_star == reference.y_star
+                assert split.below == reference.below and split.above == reference.above
+
+    def test_empty_history_gives_a_prior_sample(self):
+        # suggest never splits an empty history: with no start-up trials it samples the prior.
+        space = text_rep_space()
+        rngs = np.random.default_rng(3), np.random.default_rng(3)
+        assert suggest(space, [], TpeParams(n_startup=0), rngs[0]) == sample_prior(space, rngs[1])
 
 
 class TestFitCategorical:
@@ -612,7 +657,7 @@ def scalar_suggest(space, history, params, rng):
     usable = [r for r in history if math.isfinite(r.y)]
     if len(usable) < params.n_startup or not usable:
         return sample_prior(space, rng)
-    split = split_history(usable, params.gamma)
+    split = reference_split(usable, params.gamma)
     below = scalar_fit(space, split.below, params.smoothing)
     above = scalar_fit(space, split.above, params.smoothing)
     candidates = []
@@ -688,7 +733,7 @@ class TestBatchScoring:
                 TrialRecord(sample_prior(space, rng), float(rng.random()))
                 for _ in range(int(rng.integers(2, 80)))
             ]
-            split = split_history(history, 0.85)
+            split = reference_split(history, 0.85)
             below = fit_models(space, split.below, 1.0)
             above = fit_models(space, split.above, 1.0)
             for models, trials in ((below, split.below), (above, split.above)):

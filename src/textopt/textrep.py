@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from itertools import count
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -126,17 +125,9 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_PATTERN.findall(text.lower())
 
 
-def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    """Load a stoplist (one lowercase token per line; blank lines ignored).
-
-    With no path, the packaged English list is used.
-    """
-    if path is None:
-        text = (
-            resources.files("textopt").joinpath("resources/stopwords.txt").read_text("utf-8")
-        )
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+def load_stopwords() -> frozenset[str]:
+    """The packaged English stoplist (one lowercase token per line; blank lines ignored)."""
+    text = resources.files("textopt").joinpath("resources/stopwords.txt").read_text("utf-8")
     return frozenset(line.strip() for line in text.splitlines() if line.strip())
 
 

@@ -14,6 +14,12 @@ pass over a plan of plain Python values made from the above-split models;
 explicit candidates go through the space's encoder.  Candidates are scored
 together, one node at a time; discrete draws take the same generator steps
 as ``Generator.choice(k, p=weights)``.
+
+A density's constructor only derives its draw table (a categorical's
+cumulative weights) or its normalizers (a mixture's in-bounds masses) from
+its fields.  The fitters check their observations and smoothing and build
+the fields valid: positive weights summing to 1, or centers inside the
+bounds with positive widths.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -38,8 +44,6 @@ from .space import (
 )
 
 log = logging.getLogger(__name__)
-
-_T = TypeVar("_T")
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -115,44 +119,17 @@ def _y_star(ys: np.ndarray, gamma: float) -> float:
 class ParzenCategorical:
     """Reweighted categorical distribution: weight(c) proportional to smoothing + count(c)."""
 
-    domain: Categorical | IntRange
     weights: np.ndarray
+    # Cumulative weights scaled so the last entry is exactly 1.  A draw is
+    # bisect_right(cdf, rng.random()): the index searchsorted(side="right")
+    # would find, so it takes the same value and generator steps as
+    # rng.choice(k, p=weights) and stays below k.
     _cdf: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.shape != (len(self.domain.choices),):
-            raise ValueError("one weight per choice required")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be strictly positive")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        object.__setattr__(self, "_cdf", _cdf(w))
-
-
-def _cdf(weights: np.ndarray) -> list[float]:
-    """Cumulative weights scaled so the last entry is exactly 1.
-
-    A draw is ``bisect_right(cdf, rng.random())``: the index
-    ``searchsorted(side="right")`` would find, so it takes the same value
-    and generator steps as ``rng.choice(k, p=weights)`` and stays below k.
-    """
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    return cdf.tolist()
-
-
-def _unchecked(cls: type[_T], **fields: object) -> _T:
-    """An instance of the frozen dataclass ``cls`` holding ``fields``, skipping ``__post_init__``.
-
-    For models the fitters build valid by construction; every other caller
-    goes through the checking constructor.
-    """
-    instance = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(instance, name, value)
-    return instance
+        cdf = self.weights.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf.tolist())
 
 
 def fit_categorical(
@@ -177,7 +154,7 @@ def _smoothed_counts(
     counts = np.bincount(indices, minlength=len(domain.choices))
     weights = counts + smoothing
     weights /= weights.sum()
-    return _unchecked(ParzenCategorical, domain=domain, weights=weights, _cdf=_cdf(weights))
+    return ParzenCategorical(weights)
 
 
 @dataclass(frozen=True)
@@ -196,19 +173,9 @@ class ParzenContinuous:
     _mass: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        centers = np.asarray(self.centers, dtype=float)
-        widths = np.asarray(self.widths, dtype=float)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "widths", widths)
-        if centers.shape != widths.shape or centers.ndim != 1 or centers.size == 0:
-            raise ValueError("centers and widths must be matching nonempty 1-d arrays")
-        if self.lo >= self.hi:
-            raise ValueError(f"invalid bounds [{self.lo}, {self.hi}]")
-        if np.any(widths <= 0.0):
-            raise ValueError("widths must be positive")
-        if np.any(centers < self.lo) or np.any(centers > self.hi):
-            raise ValueError("centers must lie within bounds")
-        object.__setattr__(self, "_mass", _mass(centers, widths, self.lo, self.hi))
+        # In-bounds probability mass of each untruncated component.
+        upper = ndtr((self.hi - self.centers) / self.widths)
+        object.__setattr__(self, "_mass", upper - ndtr((self.lo - self.centers) / self.widths))
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Mixture density at x; accepts scalars or arrays, zero outside bounds."""
@@ -220,20 +187,13 @@ class ParzenContinuous:
         return float(density) if np.ndim(x) == 0 else density
 
 
-def _mass(centers: np.ndarray, widths: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """In-bounds probability mass of each untruncated component."""
-    return ndtr((hi - centers) / widths) - ndtr((lo - centers) / widths)
-
-
 def fit_continuous(observations: Sequence[float], domain: Continuous) -> ParzenContinuous:
     """Fit a truncated-Gaussian mixture to observations in estimation coordinates.
 
     Each observed center gets a width equal to the larger of its distances to
     the neighboring centers, with the domain bounds acting as virtual
     outermost neighbors; widths are clipped to [1e-3 * range, range].  A
-    prior pseudo-component (midpoint, full range) is always appended.  The
-    centers are clipped into bounds and the widths are positive, so the
-    mixture is built without the constructor's checks.
+    prior pseudo-component (midpoint, full range) is always appended.
     """
     lo, hi = domain.internal_bounds
     span = hi - lo
@@ -251,10 +211,7 @@ def fit_continuous(observations: Sequence[float], domain: Continuous) -> ParzenC
     centers = np.append(obs, 0.5 * (lo + hi))
     widths = np.append(widths, span)
     widths = np.clip(widths, MIN_WIDTH_FRACTION * span, span)
-    return _unchecked(
-        ParzenContinuous, centers=centers, widths=widths, lo=lo, hi=hi,
-        _mass=_mass(centers, widths, lo, hi),
-    )
+    return ParzenContinuous(centers, widths, lo, hi)
 
 
 ParzenModel = ParzenCategorical | ParzenContinuous
@@ -352,14 +309,6 @@ def _draws(
         assignments.append(assignment)
         rows.append(codes)
     return assignments, rows
-
-
-def _draw(
-    space: ConfigSpace, models: NodeModels, rng: np.random.Generator
-) -> tuple[Assignment, list[float]]:
-    """One assignment drawn root to leaf from ``models``, with its code row."""
-    assignments, rows = _draws(space, models, 1, rng)
-    return assignments[0], rows[0]
 
 
 def _densities(

@@ -135,6 +135,31 @@ class TestObjectiveAndGradient:
                 f = lambda w: objective_and_gradient(w, data, config, labels)[0]
                 assert f(0.5 * (w1 + w2)) <= 0.5 * (f(w1) + f(w2)) + 1e-9
 
+    @pytest.mark.parametrize("penalty", ["l1", "l2"])
+    def test_binary_objective_equals_full_objective_on_its_subspace(self, penalty):
+        # Two-class solves run on w1 = -w0, b1 = -b0 in coordinates
+        # (u, c) = sqrt(2) * (w0, b0).  At W = [[u, c], [-u, -c]] / sqrt(2)
+        # the full objective's value is the two-class objective's, and its
+        # gradient maps to (G[0] - G[1]) / sqrt(2).  Weights up to about 300
+        # saturate softplus and expit.
+        def close(ours, theirs):
+            return np.all(np.abs(ours - theirs) <= 1e-10 * np.maximum(1.0, np.abs(theirs)))
+
+        root2 = math.sqrt(2.0)
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            data, dim, labels = random_instance(rng, max_classes=2)
+            config = TrainConfig(penalty, strength=float(10 ** rng.uniform(-3, 3)), tolerance=1e-4)
+            z = rng.normal(scale=10 ** rng.uniform(-1, 2.5), size=dim + 1)
+            sign = np.where(logreg._label_indices(data, labels) == 0, -root2, root2)
+            value, gradient = logreg._binary_objective(
+                z, data.x, data.x.T.tocsr(), sign, config, np.full(dim, root2)
+            )
+            weights = np.array([z, -z]) / root2
+            full_value, full_gradient = objective_and_gradient(weights, data, config, labels)
+            assert close(value, full_value)
+            assert close(gradient(), (full_gradient[0] - full_gradient[1]) / root2)
+
     def test_dimension_mismatch_rejected(self):
         config = TrainConfig("l2", 1.0, 1e-4)
         data = labeled([{0: 1.0}], ["a"], 5)

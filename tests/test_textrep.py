@@ -608,8 +608,3 @@ class TestStopwords:
     def test_contains_core_function_words(self):
         stoplist = load_stopwords()
         assert {"the", "and", "of", "is", "not"} <= stoplist
-
-    def test_custom_file(self, tmp_path):
-        path = tmp_path / "stop.txt"
-        path.write_text("foo\nbar\n\n")
-        assert load_stopwords(path) == frozenset({"foo", "bar"})

@@ -37,7 +37,7 @@ from textopt.tpe import (
     fit_node_models,
     suggest,
     _densities,
-    _draw,
+    _draws,
     _trial_codes,
     _y_star,
 )
@@ -89,6 +89,12 @@ def encoded(space, *assignments):
 def fit_models(space, trials, smoothing):
     """The node models fitted to the trials' code rows."""
     return fit_node_models(space, _trial_codes(space, trials), smoothing)
+
+
+def draw(space, models, rng):
+    """One assignment drawn root to leaf from ``models``, with its code row."""
+    assignments, rows = _draws(space, models, 1, rng)
+    return assignments[0], rows[0]
 
 
 def path_density(space, models, assignment):
@@ -177,6 +183,11 @@ class TestFitCategorical:
             obs = [WEIGHT_DOMAIN.choices[i] for i in rng.integers(3, size=rng.integers(0, 60))]
             model = fit_categorical(obs, WEIGHT_DOMAIN, smoothing=float(rng.uniform(0.1, 3)))
             assert abs(float(model.weights.sum()) - 1.0) <= 1e-12
+            # A draw bisects the cumulative weights with a uniform in [0, 1),
+            # so they end at exactly 1 to keep every draw below k.
+            assert model._cdf[-1] == 1.0
+        tenths = fit_categorical([], Categorical(tuple(range(10))), smoothing=1.0)
+        assert tenths.weights.cumsum()[-1] < 1.0 and tenths._cdf[-1] == 1.0
 
     def test_out_of_domain_observation(self):
         with pytest.raises(ValueError, match="outside domain"):
@@ -195,7 +206,7 @@ class TestFitCategorical:
                 model = fit_categorical([int(o) for o in obs], domain, smoothing)
                 seed = int(rng.integers(2**31))
                 ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-                drawn = [_draw(space, {"c": model}, ours)[0]["c"] for _ in range(25)]
+                drawn = [draw(space, {"c": model}, ours)[0]["c"] for _ in range(25)]
                 expected = [int(theirs.choice(k, p=model.weights)) for _ in range(25)]
                 assert drawn == expected
                 assert ours.bit_generator.state == theirs.bit_generator.state
@@ -209,14 +220,13 @@ class TestFitCategorical:
             TrialRecord({"k": int(rng.integers(2, 7))}, float(rng.random())) for _ in range(15)
         ]
         models = [fit_models(space, history, smoothing=1.0)["k"] for space in spaces]
-        assert models[0].domain is ints
         assert models[0].weights.tolist() == models[1].weights.tolist()
         weights = fit_categorical([2, 2, 5], ints, 1.0).weights.tolist()
         assert weights == [3 / 8, 1 / 8, 1 / 8, 2 / 8, 1 / 8]
         draws = []
         for space, model in zip(spaces, models):
             rng = np.random.default_rng(9)
-            drawn = [_draw(space, {"k": model}, rng)[0]["k"] for _ in range(40)]
+            drawn = [draw(space, {"k": model}, rng)[0]["k"] for _ in range(40)]
             params = TpeParams(n_startup=5, n_candidates=8)
             draws.append((drawn, [suggest(space, history, params, rng) for _ in range(5)]))
         assert draws[0] == draws[1]
@@ -280,7 +290,7 @@ class TestFitContinuous:
         space = define_space([ParamNode("x", self.UNIT)])
         model = fit_continuous([0.05, 0.5, 0.95], self.UNIT)
         rng = np.random.default_rng(22)
-        draws = [_draw(space, {"x": model}, rng) for _ in range(500)]
+        draws = [draw(space, {"x": model}, rng) for _ in range(500)]
         assert all(0.0 <= a["x"] <= 1.0 and 0.0 <= row[0] <= 1.0 for a, row in draws)
 
     @pytest.mark.parametrize("out_of_bounds, clipped", [(7.0, 1.0), (-7.0, 0.0)])
@@ -301,7 +311,7 @@ class TestFitContinuous:
         rng = AlwaysOutOfBounds()
         space = define_space([ParamNode("x", self.UNIT)])
         model = fit_continuous([0.5], self.UNIT)
-        assert _draw(space, {"x": model}, rng) == ({"x": clipped}, [clipped])
+        assert draw(space, {"x": model}, rng) == ({"x": clipped}, [clipped])
         assert rng.normal_calls == MAX_REJECTION_DRAWS
 
 
@@ -387,7 +397,7 @@ class TestSampleCandidate:
         trials = [TrialRecord({"weighting": "binary"}, 0.9)] * 40
         models = fit_models(space, trials, smoothing=1e-6)
         rng = np.random.default_rng(0)
-        draws = [_draw(space, models, rng)[0]["weighting"] for _ in range(200)]
+        draws = [draw(space, models, rng)[0]["weighting"] for _ in range(200)]
         assert draws.count("binary") == 200
 
     def test_empty_population_gives_valid_prior_style_samples(self):
@@ -401,7 +411,7 @@ class TestSampleCandidate:
         np.testing.assert_allclose(models["a"].weights, [0.5, 0.5])
         rng = np.random.default_rng(4)
         for _ in range(100):
-            candidate = _draw(space, models, rng)[0]
+            candidate = draw(space, models, rng)[0]
             assert validate_assignment(space, candidate) == []
 
     def test_empirical_frequencies_match_weights(self):
@@ -414,7 +424,7 @@ class TestSampleCandidate:
         models = fit_models(space, trials, smoothing=1.0)
         rng = np.random.default_rng(9)
         n = 100_000
-        draws = [_draw(space, models, rng)[0]["w"] for _ in range(n)]
+        draws = [draw(space, models, rng)[0]["w"] for _ in range(n)]
         for choice, weight in zip(WEIGHT_DOMAIN.choices, models["w"].weights):
             assert abs(draws.count(choice) / n - weight) < 0.01
 
@@ -428,7 +438,7 @@ class TestSampleCandidate:
         models = fit_models(space, [], smoothing=1.0)
         rng = np.random.default_rng(8)
         for _ in range(100):
-            candidate = _draw(space, models, rng)[0]
+            candidate = draw(space, models, rng)[0]
             assert ("b" in candidate) == (candidate["a"] == "x")
 
 
@@ -630,7 +640,7 @@ def scalar_fit(space, trials, smoothing):
             counts = np.array([sum(value_equal(o, c) for o in obs) for c in choices], dtype=float)
             weights = counts + smoothing
             weights /= weights.sum()
-            models[node.name] = ParzenCategorical(Categorical(choices), weights)
+            models[node.name] = ParzenCategorical(weights)
     return models
 
 
@@ -671,7 +681,7 @@ def scalar_suggest(space, history, params, rng):
                 cand[node.name] = node.domain.from_internal(rejection_sample(model, rng))
             else:
                 k = len(model.weights)
-                cand[node.name] = model.domain.choices[int(rng.choice(k, p=model.weights))]
+                cand[node.name] = node.domain.choices[int(rng.choice(k, p=model.weights))]
         candidates.append(cand)
     best, best_score = None, -math.inf
     for cand in candidates:
@@ -744,7 +754,7 @@ class TestBatchScoring:
                         assert model.widths.tolist() == reference[name].widths.tolist()
                     else:
                         assert model.weights.tolist() == reference[name].weights.tolist()
-            candidates = [_draw(space, above, rng)[0] for _ in range(64)]
+            candidates = [draw(space, above, rng)[0] for _ in range(64)]
             codes = encoded(space, *candidates)
             batch = ei_score(*_densities(space, [below, above], codes), 0.85).tolist()
             one_at_a_time = [
@@ -794,9 +804,9 @@ class TestBatchScoring:
 
     @pytest.mark.parametrize("space_name", sorted(SPACES))
     def test_fitted_models_equal_checked_constructions(self, space_name):
-        # The fitters build their models without the constructors' checks.
-        # The checking constructors, given the reference fit's weights or
-        # components, must build the same bytes.
+        # The fitters' models, derived fields included, must hold the same
+        # bytes as the constructors build from the reference fit's weights or
+        # components.
         space = SPACES[space_name]()
         rng = np.random.default_rng(17)
         for _ in range(15):
@@ -814,7 +824,7 @@ class TestBatchScoring:
                     assert (model.lo, model.hi) == (checked.lo, checked.hi)
                     fields = ("centers", "widths", "_mass")
                 else:
-                    checked = ParzenCategorical(model.domain, expected.weights)
+                    checked = ParzenCategorical(expected.weights)
                     fields = ("weights", "_cdf")
                 for field in fields:
                     ours, theirs = getattr(model, field), getattr(checked, field)
@@ -830,7 +840,7 @@ class TestBatchScoring:
         history = [TrialRecord(sample_prior(space, rng), float(rng.random())) for _ in range(30)]
         models = fit_models(space, history, smoothing=1.0)
         for _ in range(200):
-            assignment, row = _draw(space, models, rng)
+            assignment, row = draw(space, models, rng)
             np.testing.assert_array_equal(row, space.encode(assignment))
 
     @pytest.mark.parametrize(
